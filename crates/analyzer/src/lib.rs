@@ -453,7 +453,9 @@ impl Analyzer {
                 backend: self.options.backend,
             },
             Outcome::Satisfiable(m) => {
+                let span = rec.span("verify");
                 witness::verify_model(&self.lg, f, &m, dtds)?;
+                drop(span);
                 Analysis {
                     holds: false,
                     counter_example: Some(m),
@@ -474,7 +476,9 @@ impl Analyzer {
         let solved = self.solve_formula_traced(f, limits, rec)?;
         Ok(match solved.outcome {
             Outcome::Satisfiable(m) => {
+                let span = rec.span("verify");
                 witness::verify_model(&self.lg, f, &m, dtds)?;
+                drop(span);
                 Analysis {
                     holds: true,
                     counter_example: Some(m),
@@ -797,7 +801,9 @@ mod tests {
             .fields
             .iter()
             .any(|(k, v)| matches!((*k, v), ("wall_us", FieldValue::U64(_)))));
-        // …and records the compile and fixpoint phases in between.
+        // …and records the compile and fixpoint phases in between, then,
+        // since the containment goal is satisfiable, the reconstruction of
+        // its counter-example and that witness's verification.
         let phases: Vec<_> = events
             .iter()
             .filter(|e| e.kind == "phase")
@@ -809,7 +815,10 @@ mod tests {
             })
             .collect();
         assert!(phases.contains(&"compile"), "{phases:?}");
-        assert!(phases.contains(&"fixpoint"), "{phases:?}");
+        let pos = |name| phases.iter().position(|p| *p == name);
+        assert!(pos("fixpoint").is_some(), "{phases:?}");
+        assert!(pos("reconstruct") > pos("fixpoint"), "{phases:?}");
+        assert!(pos("verify") > pos("reconstruct"), "{phases:?}");
         // An untraced solve agrees and emits nothing.
         let quiet = az.solve(&p, &Limits::default()).unwrap();
         assert_eq!(quiet.holds, v.holds);

@@ -45,6 +45,10 @@ mod parser;
 mod status;
 mod syntax;
 
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_gen;
+
 pub use closure::{Closure, Lean, LeanAtom};
 pub use cyclefree::cycle_free;
 pub use logic::Logic;

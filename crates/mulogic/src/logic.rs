@@ -2,6 +2,7 @@
 //! substitution and fixpoint unfolding.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use ftree::Label;
 
@@ -465,46 +466,63 @@ impl Logic {
 
     /// The free fixpoint variables of `f`.
     pub fn free_vars(&self, f: Formula) -> std::collections::HashSet<Var> {
-        fn go(
-            lg: &Logic,
-            f: Formula,
-            bound: &mut Vec<Var>,
-            out: &mut std::collections::HashSet<Var>,
-            seen: &mut std::collections::HashSet<(Formula, usize)>,
+        let fv = self.free_vars_of(f, &mut HashMap::new());
+        fv.iter().flat_map(|vs| vs.iter().copied()).collect()
+    }
+
+    /// The free variables of `f`, sorted (`None` when there are none),
+    /// with those of its subformulas memoized: they do not depend on where
+    /// a subformula occurs, so each node of the DAG is visited once. Sets
+    /// are shared, not copied, where a node has the free variables of one
+    /// of its children.
+    fn free_vars_of(&self, f: Formula, memo: &mut HashMap<Formula, FreeVars>) -> FreeVars {
+        let kind = self.kind(f);
+        if !matches!(
+            kind,
+            FormulaKind::Var(_)
+                | FormulaKind::Or(..)
+                | FormulaKind::And(..)
+                | FormulaKind::Diam(..)
+                | FormulaKind::Mu(..)
+                | FormulaKind::Nu(..)
         ) {
-            if !seen.insert((f, bound.len())) {
-                return;
-            }
-            match lg.kind(f) {
-                FormulaKind::Var(v) if !bound.contains(v) => {
-                    out.insert(*v);
-                }
-                FormulaKind::Or(a, b) | FormulaKind::And(a, b) => {
-                    go(lg, *a, bound, out, seen);
-                    go(lg, *b, bound, out, seen);
-                }
-                FormulaKind::Diam(_, p) => go(lg, *p, bound, out, seen),
-                FormulaKind::Mu(binds, body) | FormulaKind::Nu(binds, body) => {
-                    let n = bound.len();
-                    bound.extend(binds.iter().map(|&(v, _)| v));
-                    for &(_, phi) in binds {
-                        go(lg, phi, bound, out, seen);
-                    }
-                    go(lg, *body, bound, out, seen);
-                    bound.truncate(n);
-                }
-                _ => {}
-            }
+            return None;
         }
-        let mut out = std::collections::HashSet::new();
-        let mut seen = std::collections::HashSet::new();
-        go(self, f, &mut Vec::new(), &mut out, &mut seen);
-        out
+        if let Some(fv) = memo.get(&f) {
+            return fv.clone();
+        }
+        let fv = match kind {
+            FormulaKind::Var(v) => Some(Rc::from([*v])),
+            FormulaKind::Or(a, b) | FormulaKind::And(a, b) => {
+                let fa = self.free_vars_of(*a, memo);
+                let fb = self.free_vars_of(*b, memo);
+                union(fa, fb)
+            }
+            FormulaKind::Diam(_, p) => self.free_vars_of(*p, memo),
+            FormulaKind::Mu(binds, body) | FormulaKind::Nu(binds, body) => {
+                let mut fv = self.free_vars_of(*body, memo);
+                for &(_, phi) in binds {
+                    let fphi = self.free_vars_of(phi, memo);
+                    fv = union(fv, fphi);
+                }
+                let bound = |v: &Var| binds.iter().any(|(b, _)| b == v);
+                match fv {
+                    Some(vs) if vs.iter().any(bound) => {
+                        let unbound: Vec<Var> = vs.iter().copied().filter(|v| !bound(v)).collect();
+                        (!unbound.is_empty()).then(|| unbound.into())
+                    }
+                    fv => fv,
+                }
+            }
+            _ => unreachable!("atoms return above"),
+        };
+        memo.insert(f, fv.clone());
+        fv
     }
 
     /// Whether `f` has no free variables.
     pub fn is_closed(&self, f: Formula) -> bool {
-        self.free_vars(f).is_empty()
+        self.free_vars_of(f, &mut HashMap::new()).is_none()
     }
 
     /// Whether `f` contains the start proposition `s` (positively or
@@ -559,6 +577,29 @@ impl Logic {
         }
         n
     }
+}
+
+/// A sorted, non-empty set of free variables, or `None` for the empty set.
+type FreeVars = Option<Rc<[Var]>>;
+
+/// The union of two variable sets, sharing an operand when the other adds
+/// nothing to it.
+fn union(a: FreeVars, b: FreeVars) -> FreeVars {
+    let (a, b) = match (a, b) {
+        (Some(a), Some(b)) => (a, b),
+        (a, None) => return a,
+        (None, b) => return b,
+    };
+    if Rc::ptr_eq(&a, &b) || b.iter().all(|v| a.binary_search(v).is_ok()) {
+        return Some(a);
+    }
+    if a.iter().all(|v| b.binary_search(v).is_ok()) {
+        return Some(b);
+    }
+    let mut out: Vec<Var> = a.iter().chain(b.iter()).copied().collect();
+    out.sort_unstable();
+    out.dedup();
+    Some(out.into())
 }
 
 #[cfg(test)]
@@ -681,6 +722,23 @@ mod tests {
         let fv = lg.free_vars(f);
         assert!(fv.contains(&y));
         assert!(!fv.contains(&x));
+        assert!(!lg.is_closed(f));
+    }
+
+    #[test]
+    fn free_vars_of_a_subterm_shared_under_different_binders() {
+        // ν(X = ν(Y = X, Z = ⊤) in Y ∧ ν(W = Y, Z = ⊤) in W) in X: the
+        // occurrence of Y under W's binder is free, though the same node
+        // also occurs where Y is bound, at the same binder depth.
+        let mut lg = Logic::new();
+        let [x, y, z, w] = ["X", "Y", "Z", "W"].map(|n| lg.fresh_var(n));
+        let tt = lg.tt();
+        let (xv, yv, wv) = (lg.var(x), lg.var(y), lg.var(w));
+        let bound_y = lg.nu(vec![(y, xv), (z, tt)], yv);
+        let free_y = lg.nu(vec![(w, yv), (z, tt)], wv);
+        let def = lg.and(bound_y, free_y);
+        let f = lg.nu1(x, def);
+        assert_eq!(lg.free_vars(f), [y].into_iter().collect());
         assert!(!lg.is_closed(f));
     }
 

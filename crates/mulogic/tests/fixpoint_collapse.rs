@@ -8,37 +8,18 @@
 //! * the counter-example of §4: for formulas with modality cycles the two
 //!   fixpoints genuinely differ.
 
+mod common;
+
+use common::{arb_tree, prog, LABELS};
 use ftree::{Label, Tree};
 use mulogic::{cycle_free, Formula, Logic, ModelChecker, Program};
 use proptest::prelude::*;
-
-const LABELS: [&str; 3] = ["a", "b", "c"];
-
-fn arb_label() -> impl Strategy<Value = &'static str> {
-    prop::sample::select(&LABELS[..])
-}
-
-fn arb_tree(depth: u32) -> impl Strategy<Value = Tree> {
-    let leaf = arb_label().prop_map(Tree::leaf);
-    leaf.prop_recursive(depth, 10, 3, |inner| {
-        (arb_label(), prop::collection::vec(inner, 0..3)).prop_map(|(l, cs)| Tree::node(l, cs))
-    })
-}
 
 /// A guarded single-variable recursion µ/νX. base ∨ ⟨p⟩X.
 #[derive(Debug, Clone)]
 struct Rec {
     base_label: &'static str,
     program: u8,
-}
-
-fn prog(code: u8) -> Program {
-    match code % 4 {
-        0 => Program::Down1,
-        1 => Program::Down2,
-        2 => Program::Up1,
-        _ => Program::Up2,
-    }
 }
 
 fn build(lg: &mut Logic, r: &Rec, greatest: bool) -> Formula {

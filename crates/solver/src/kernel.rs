@@ -177,7 +177,9 @@ pub fn run_fixpoint<B: Backend>(
 /// iteration emits a `step` event (iteration number, representation growth,
 /// frontier size, operation-cache hit rate from [`Backend::observe`]) and
 /// every budget hit emits a `limit` event before the error propagates. The
-/// whole loop runs under a `fixpoint` phase span. With the noop recorder
+/// whole loop runs under a `fixpoint` phase span, and the model
+/// reconstruction of a satisfiable goal under a `reconstruct` span that
+/// follows it. With the noop recorder
 /// this is exactly `run_fixpoint` — the observation calls are skipped.
 pub fn run_fixpoint_traced<B: Backend>(
     mut backend: B,
@@ -270,7 +272,10 @@ pub fn run_fixpoint_traced<B: Backend>(
     drop(span);
     let outcome = match hit {
         None => Outcome::Unsatisfiable,
-        Some(hit) => Outcome::Satisfiable(backend.reconstruct(hit)),
+        Some(hit) => {
+            let _span = rec.span("reconstruct");
+            Outcome::Satisfiable(backend.reconstruct(hit))
+        }
     };
     Ok(Solved {
         outcome,
@@ -894,6 +899,13 @@ mod tests {
                 })
                 .collect();
             assert!(phases.contains(&"fixpoint"), "{backend}: phases {phases:?}");
+            // The goal is satisfiable, so a reconstruction follows the
+            // fixpoint under its own span.
+            let pos = |name| phases.iter().position(|p| *p == name);
+            assert!(
+                pos("reconstruct") > pos("fixpoint"),
+                "{backend}: phases {phases:?}"
+            );
             // One step event per driver iteration (dual runs two drivers).
             let min_steps = s.stats.iterations;
             assert!(

@@ -480,9 +480,12 @@ impl<'m> Sym<'m> {
         )
     }
 
-    /// Constraint (over the x̄ rail) that a type is a valid `a`-child of the
-    /// concrete parent type `t`.
-    fn child_constraint(&mut self, a: Program, t: &[bool]) -> NodeId {
+    /// The literals (over the x̄ rail) whose conjunction says that a type
+    /// is a valid `a`-child of the concrete parent type `t`. The first is
+    /// the cube of the single-variable ones: `ischild_a`, and one per lean
+    /// `⟨ā⟩ϕ`, fixed by the parent. Then comes one status literal per lean
+    /// `⟨a⟩ϕ`.
+    fn child_literals(&mut self, a: Program, t: &[bool]) -> Vec<NodeId> {
         let conv = a.converse();
         // Assignment of the parent on the x rail, for evaluating status BDDs.
         let max_var = 2 * self.xvar.len();
@@ -490,26 +493,31 @@ impl<'m> Sym<'m> {
         for (i, &b) in t.iter().enumerate() {
             assignment[self.xvar[i] as usize] = b;
         }
-        let mut c = self.xv(self.dt(conv)); // ischild_a
-        let diams = self.diams.clone();
-        for (i, p) in diams {
+        let mut lits = vec![self.xv(self.dt(conv))]; // ischild_a
+        for k in 0..self.diams.len() {
+            let (i, p) = self.diams[k];
             if p == a {
                 // ⟨a⟩ϕ ∈ t ⇔ status_ϕ(child)
                 let s = self.arg_status[&i];
-                let lit = if t[i] { s } else { self.bdd.not(s) };
-                c = self.bdd.and(c, lit);
+                lits.push(if t[i] { s } else { self.bdd.not(s) });
             } else if p == conv {
                 // ⟨ā⟩ϕ ∈ child ⇔ status_ϕ(t)
                 let holds = self.bdd.eval(self.arg_status[&i], &assignment);
                 let xi = self.xv(i);
                 let lit = if holds { xi } else { self.bdd.not(xi) };
-                c = self.bdd.and(c, lit);
+                lits[0] = self.bdd.and(lits[0], lit);
             }
         }
-        c
+        lits
     }
 
     /// Finds an `a`-child of `t` in the earliest snapshot (minimal depth).
+    ///
+    /// The child literals are conjoined into each snapshot set one at a
+    /// time, stopping at ⊥: every intermediate BDD is a subset of that
+    /// snapshot, never the conjunction of all the status BDDs on its own,
+    /// which can be many times the size of the store. BDDs are canonical,
+    /// so the type picked is the one the whole conjunction would give.
     fn find_child(
         &mut self,
         snapshots: &[(NodeId, NodeId)],
@@ -517,11 +525,17 @@ impl<'m> Sym<'m> {
         t: &[bool],
         marked: bool,
     ) -> Option<Vec<bool>> {
-        let c = self.child_constraint(a, t);
+        let lits = self.child_literals(a, t);
+        let zero = self.bdd.zero();
         for &(un, mk) in snapshots {
-            let set = if marked { mk } else { un };
-            let cand = self.bdd.and(set, c);
-            if cand != self.bdd.zero() {
+            let mut cand = if marked { mk } else { un };
+            for &lit in &lits {
+                cand = self.bdd.and(cand, lit);
+                if cand == zero {
+                    break;
+                }
+            }
+            if cand != zero {
                 return self.pick_type(cand);
             }
         }
@@ -546,41 +560,37 @@ impl<'m> Sym<'m> {
         let has1 = t[self.dt(Program::Down1)];
         let has2 = t[self.dt(Program::Down2)];
         let below = need_mark && !here_marked;
-        // Decide which side holds the mark (both the marked child and the
-        // other, unmarked, child must exist for the chosen split).
-        let (m1, m2) = if !below {
-            (false, false)
+        // A mark still to place goes down the first child when a marked
+        // 1-child and an unmarked 2-child (if any) both exist; then the
+        // probe's child types are the ones rebuilt. Otherwise it goes down
+        // the second child.
+        let via1 = if below && has1 {
+            match self.find_child(snapshots, Program::Down1, t, true) {
+                Some(c1) if !has2 => Some((c1, None)),
+                Some(c1) => self
+                    .find_child(snapshots, Program::Down2, t, false)
+                    .map(|c2| (c1, Some(c2))),
+                None => None,
+            }
         } else {
-            let via1 = has1
-                && self
-                    .find_child(snapshots, Program::Down1, t, true)
-                    .is_some()
-                && (!has2
-                    || self
-                        .find_child(snapshots, Program::Down2, t, false)
-                        .is_some());
-            if via1 {
-                (true, false)
-            } else {
-                (false, true)
+            None
+        };
+        let ((ct1, m1), (ct2, m2)) = match via1 {
+            Some((c1, c2)) => ((Some(c1), true), (c2, false)),
+            None => {
+                let ct1 = has1.then(|| {
+                    self.find_child(snapshots, Program::Down1, t, false)
+                        .expect("1-witness exists by construction")
+                });
+                let ct2 = has2.then(|| {
+                    self.find_child(snapshots, Program::Down2, t, below)
+                        .expect("2-witness exists by construction")
+                });
+                ((ct1, false), (ct2, below))
             }
         };
-        let child1 = if has1 {
-            let ct = self
-                .find_child(snapshots, Program::Down1, t, m1)
-                .expect("1-witness exists by construction");
-            Some(self.rebuild(snapshots, &ct, m1))
-        } else {
-            None
-        };
-        let child2 = if has2 {
-            let ct = self
-                .find_child(snapshots, Program::Down2, t, m2)
-                .expect("2-witness exists by construction");
-            Some(self.rebuild(snapshots, &ct, m2))
-        } else {
-            None
-        };
+        let child1 = ct1.map(|ct| self.rebuild(snapshots, &ct, m1));
+        let child2 = ct2.map(|ct| self.rebuild(snapshots, &ct, m2));
         BinaryTree::new(label, here_marked, child1, child2)
     }
 }

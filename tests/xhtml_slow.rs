@@ -1,21 +1,38 @@
 //! The two XHTML rows of Table 2 — slow (seconds in release, much more in
 //! debug), so `#[ignore]`d by default. Run with
-//! `cargo test --release -- --ignored`.
+//! `cargo test --release --test xhtml_slow -- --ignored`.
 
 use xsat::analyzer::{paper, Analyzer};
+use xsat::solver::Stats;
 use xsat::treetypes::xhtml_1_0_strict;
 use xsat::xpath::eval_on_tree;
+
+/// Bound on the BDD store's high-water mark for the XHTML rows. The
+/// fixpoint alone stays near the 2M-node collection floor; a witness
+/// reconstruction that conjoins every child literal into one relation
+/// before searching the snapshots peaks at 4–10M.
+const PEAK_NODES: usize = 2_500_000;
+
+fn assert_peak_nodes(stats: &Stats) {
+    let peak = stats
+        .telemetry
+        .bdd_counters()
+        .expect("symbolic telemetry")
+        .peak_nodes;
+    assert!(peak <= PEAK_NODES, "peak of {peak} live BDD nodes");
+}
 
 /// Table 2 row 5: e8 = `descendant::a[ancestor::a]` is satisfiable under
 /// XHTML 1.0 Strict — the DTD does not prohibit nested anchors.
 #[test]
-#[ignore = "XHTML-scale instance: ~15 s in release mode"]
+#[ignore = "XHTML-scale instance: about 7 s in release mode (2-vCPU Xeon VM)"]
 fn row5_e8_satisfiable_under_xhtml() {
     let dtd = xhtml_1_0_strict();
     let e8 = paper::query(8);
     let mut az = Analyzer::new();
     let v = az.is_satisfiable(&e8, Some(&dtd)).unwrap();
     assert!(v.holds, "paper: satisfiable");
+    assert_peak_nodes(&v.stats);
     let m = v.counter_example.expect("witness");
     let tree = m.tree();
     assert!(
@@ -33,7 +50,7 @@ fn row5_e8_satisfiable_under_xhtml() {
 /// `html/(head|body)` from the html root selects nothing. The interpreter
 /// confirms the counter-example; see EXPERIMENTS.md.
 #[test]
-#[ignore = "XHTML-scale instance: ~5 s in release mode"]
+#[ignore = "XHTML-scale instance: about 1 s in release mode (2-vCPU Xeon VM)"]
 fn row6_coverage_counter_example_is_real() {
     let dtd = xhtml_1_0_strict();
     let e9 = paper::query(9);
@@ -49,6 +66,7 @@ fn row6_coverage_counter_example_is_real() {
         )
         .unwrap();
     assert!(!v.holds);
+    assert_peak_nodes(&v.stats);
     let m = v.counter_example.expect("counter-example");
     let tree = m.tree();
     assert!(dtd.validates(&tree.clear_marks()), "{}", m.xml());
