@@ -3,11 +3,9 @@
 //!
 //! An [`Analyzer`] owns a formula arena and reduces each decision problem
 //! to Lµ satisfiability, solved by a selectable backend
-//! ([`BackendChoice`]: the symbolic BDD engine by default, the explicit or
-//! witnessed reference algorithms, the dual symbolic/explicit
-//! cross-check, or the portfolio mode racing every feasible backend and
-//! returning the first verdict). The problems themselves are values: a
-//! [`Problem`] names
+//! ([`BackendChoice`]: the symbolic BDD engine by default, or the explicit
+//! and witnessed reference algorithms). The problems themselves are
+//! values: a [`Problem`] names
 //! one question of the §8 menu —
 //!
 //! * **emptiness** — does a query ever select a node?
@@ -85,9 +83,7 @@ use treetypes::Dtd;
 use xpath::Expr;
 
 pub use problem::Problem;
-pub use solver::{
-    BackendChoice, BddCounters, CrossCheckError, Exhausted, Limits, Resource, SolveError, Telemetry,
-};
+pub use solver::{BackendChoice, BddCounters, Exhausted, Limits, Resource, SolveError, Telemetry};
 
 /// The result of one decision problem.
 #[derive(Debug)]
@@ -107,9 +103,8 @@ pub struct Analysis {
 /// The outcome of one decision problem: the analysis, or a
 /// [`SolveError`] — a typed resource exhaustion (deadline, BDD node
 /// budget, iteration cap, or a lean beyond the enumeration cap of the
-/// explicit/witnessed/dual backends), or a dual-mode cross-check
-/// disagreement. Under [`Limits::default`] the symbolic backend never
-/// fails.
+/// explicit and witnessed backends), or a witness the verification oracles
+/// rejected. Under [`Limits::default`] the symbolic backend never exhausts.
 pub type AnalysisResult = Result<Analysis, SolveError>;
 
 /// Construction-time options of an [`Analyzer`].
@@ -117,8 +112,7 @@ pub type AnalysisResult = Result<Analysis, SolveError>;
 pub struct AnalyzerOptions {
     /// Which solver backend answers satisfiability queries.
     pub backend: BackendChoice,
-    /// Tuning knobs of the symbolic backend (also the symbolic half of
-    /// dual mode and the symbolic racer of the portfolio).
+    /// Tuning knobs of the symbolic backend.
     pub symbolic: SymbolicOptions,
 }
 
@@ -127,7 +121,7 @@ pub struct AnalyzerOptions {
 pub struct Analyzer {
     lg: Logic,
     options: AnalyzerOptions,
-    /// The long-lived BDD manager behind every symbolic (and dual) solve
+    /// The long-lived BDD manager behind every symbolic solve
     /// this analyzer performs. It is generationally reset per problem —
     /// never reallocated — so a worker that answers thousands of requests
     /// keeps one warm arena, unique table and operation cache.

@@ -1,8 +1,8 @@
-//! Randomized differential testing of the four user-facing backends.
+//! Randomized differential testing of the three user-facing backends.
 //!
 //! Every generated decision problem — random small DTDs, random XPath
 //! queries, every operation of the [`Problem`] algebra — is posed to the
-//! `symbolic`, `explicit`, `witnessed` and `portfolio` backends, and their
+//! `symbolic`, `explicit` and `witnessed` backends, and their
 //! verdicts must agree wherever they decide (an enumerating backend may
 //! answer `unknown` on an oversized lean; that is a budget, not a
 //! disagreement).
@@ -113,12 +113,11 @@ fn problem() -> impl Strategy<Value = Problem> {
     )
 }
 
-/// All four user-facing backends of the differential panel.
-const BACKENDS: [BackendChoice; 4] = [
+/// All three user-facing backends of the differential panel.
+const BACKENDS: [BackendChoice; 3] = [
     BackendChoice::Symbolic,
     BackendChoice::Explicit,
     BackendChoice::Witnessed,
-    BackendChoice::Portfolio,
 ];
 
 /// A tight-but-honest budget: the panel must stay fast across hundreds of
@@ -243,10 +242,10 @@ fn run_backend(p: &Problem, backend: BackendChoice) -> Result<Option<bool>, Stri
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The panel: all four backends agree on every decided verdict, and
+    /// The panel: all three backends agree on every decided verdict, and
     /// every witness passes the independent XPath and DTD oracles. The
     /// backends run concurrently — each on its own [`Analyzer`] — so a
-    /// case costs the slowest backend, not the sum of all four.
+    /// case costs the slowest backend, not the sum of all three.
     #[test]
     fn backends_agree_and_witnesses_check_out(p in problem()) {
         let outcomes: Vec<(BackendChoice, Result<Option<bool>, String>)> =

@@ -1,15 +1,13 @@
-//! Backend matrix: the three solver backends (plus the dual cross-check
-//! and the portfolio race) on the paper's Fig 18 containment family, from
-//! a trivial member up to the figure's own `e1 ⊆ e2` pair.
+//! Backend matrix: the three solver backends on the paper's Fig 18
+//! containment family, from a trivial member up to the figure's own
+//! `e1 ⊆ e2` pair.
 //!
 //! The enumerating backends are exponential in the lean's diamond count,
 //! so members beyond `XSAT_MATRIX_MAX_DIAMONDS` (default 12) are recorded
 //! as skipped for those backends rather than stalling the bench — the
 //! point of the matrix is the crossover: where the symbolic backend pulls
-//! away from the references. The portfolio is never skipped: it gates its
-//! enumerating racers itself and degrades to symbolic-only on oversized
-//! leans. Results land in `BENCH_backends.json` at the workspace root so
-//! PRs touching the kernel can diff them.
+//! away from the references. Results land in `BENCH_backends.json` at the
+//! workspace root so changes to the kernel can diff them.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -32,14 +30,6 @@ const FAMILY: &[(&str, &str, &str, bool)] = &[
         "child::c[child::b]",
         false,
     ),
-];
-
-const BACKENDS: [BackendChoice; 5] = [
-    BackendChoice::Symbolic,
-    BackendChoice::Explicit,
-    BackendChoice::Witnessed,
-    BackendChoice::Dual,
-    BackendChoice::Portfolio,
 ];
 
 fn max_diamonds() -> usize {
@@ -72,7 +62,7 @@ fn goal(lhs: &str, rhs: &str, backend: BackendChoice) -> (Analyzer, mulogic::For
 }
 
 /// The lean diamond count of one family member (decides enumeration
-/// feasibility for the explicit/witnessed/dual backends).
+/// feasibility for the explicit and witnessed backends).
 fn diamonds(lhs: &str, rhs: &str) -> usize {
     let (mut az, g) = goal(lhs, rhs, BackendChoice::Symbolic);
     let lg = az.logic_mut();
@@ -81,27 +71,26 @@ fn diamonds(lhs: &str, rhs: &str) -> usize {
 }
 
 /// One record of the matrix: min/mean solve time over `samples` runs,
-/// plus — for runs with a symbolic side — the BDD kernel telemetry
-/// (live/created nodes and operation-cache hit rate).
+/// plus — for symbolic runs — the BDD kernel telemetry (live/created
+/// nodes and operation-cache hit rate).
 struct Cell {
     backend: BackendChoice,
     min_ms: f64,
     mean_ms: f64,
     iterations: usize,
     bdd: Option<(usize, usize, f64)>,
-    /// Which racer won, on portfolio runs (the last sample's winner).
-    winner: Option<&'static str>,
 }
 
 fn measure(lhs: &str, rhs: &str, backend: BackendChoice, expect_holds: bool, n: usize) -> Cell {
     let mut times = Vec::with_capacity(n);
     let mut iterations = 0;
     let mut bdd = None;
-    let mut winner = None;
     for _ in 0..n {
         let (mut az, g) = goal(lhs, rhs, backend);
         let t = Instant::now();
-        let solved = az.solve_formula(black_box(g)).expect("cross-check agrees");
+        let solved = az
+            .solve_formula(black_box(g))
+            .expect("unbounded solve decides");
         times.push(t.elapsed().as_secs_f64() * 1000.0);
         // Containment holds iff the goal is unsatisfiable.
         assert_eq!(!solved.outcome.is_satisfiable(), expect_holds);
@@ -109,9 +98,6 @@ fn measure(lhs: &str, rhs: &str, backend: BackendChoice, expect_holds: bool, n: 
         let telemetry = &solved.stats.telemetry;
         if let (Some(nodes), Some(counters)) = (telemetry.bdd_nodes(), telemetry.bdd_counters()) {
             bdd = Some((nodes, counters.created_nodes, counters.cache_hit_rate()));
-        }
-        if let analyzer::Telemetry::Portfolio { winner: w, .. } = telemetry {
-            winner = Some(*w);
         }
     }
     let min = times.iter().copied().fold(f64::INFINITY, f64::min);
@@ -122,7 +108,6 @@ fn measure(lhs: &str, rhs: &str, backend: BackendChoice, expect_holds: bool, n: 
         mean_ms: mean,
         iterations,
         bdd,
-        winner,
     }
 }
 
@@ -137,9 +122,8 @@ fn bench_backend_matrix(_c: &mut Criterion) {
     for &(name, lhs, rhs, holds) in FAMILY {
         let d = diamonds(lhs, rhs);
         let mut cells = String::new();
-        for backend in BACKENDS {
-            let enumerates = !matches!(backend, BackendChoice::Symbolic | BackendChoice::Portfolio);
-            if enumerates && d > cap {
+        for backend in BackendChoice::ALL {
+            if backend != BackendChoice::Symbolic && d > cap {
                 println!("backend-matrix {name}/{backend}: skipped ({d} diamonds > cap {cap})");
                 let _ = write!(
                     cells,
@@ -156,16 +140,13 @@ fn bench_backend_matrix(_c: &mut Criterion) {
                 "bench backend-matrix/{name}/{backend}: min {:.3} ms, mean {:.3} ms ({} iterations, {n} samples)",
                 cell.min_ms, cell.mean_ms, cell.iterations
             );
-            let mut bdd_fields = match cell.bdd {
+            let bdd_fields = match cell.bdd {
                 Some((nodes, created, hit_rate)) => format!(
                     r#","bdd_nodes":{nodes},"created_nodes":{created},"cache_hit_rate":{}"#,
                     round3(hit_rate)
                 ),
                 None => String::new(),
             };
-            if let Some(winner) = cell.winner {
-                let _ = write!(bdd_fields, r#","winner":"{winner}""#);
-            }
             let _ = write!(
                 cells,
                 r#"{}{{"backend":"{}","min_ms":{},"mean_ms":{},"iterations":{}{bdd_fields}}}"#,

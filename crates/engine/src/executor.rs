@@ -13,8 +13,13 @@
 //! it. Duplicate occurrences and problems already solved in previous
 //! batches (or by the sequential front end) are served from the cache and
 //! reported with `"cached":true`. `unknown` verdicts (exhausted budgets)
-//! and dual-mode cross-check failures become per-request responses and are
-//! **never** cached — a retry with bigger limits must re-solve.
+//! and solver failures become per-request responses and are **never**
+//! cached — a retry with bigger limits must re-solve.
+//!
+//! Every front end — the sequential `Engine::execute`, this batch
+//! executor, the lint probe fan-out and the TCP workers of the `serve`
+//! crate — answers a job through the one memo-through path,
+//! [`run_job_memoized`].
 
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
@@ -62,31 +67,64 @@ impl ObsCtx<'_> {
         (Recorder::with_sinks(sinks), capture)
     }
 
-    /// Captures the solve into the slow log when it exceeded the
-    /// threshold. `events` is the solve's drained trace.
-    pub(crate) fn note_slow(
+    /// Drains the solve's captured events and, when the solve ran (was not
+    /// served from the memo cache) and exceeded the slow-solve threshold,
+    /// captures it into the slow log. Returns the drained events.
+    pub(crate) fn finish(
         &self,
         job: &Job,
-        status: &'static str,
-        wall_ms: f64,
-        events: &[obs::Event],
-    ) {
-        let Some(threshold) = self.slow_ms else {
-            return;
+        outcome: &RunOutcome,
+        cached: bool,
+        capture: Option<Arc<MemorySink>>,
+    ) -> Vec<obs::Event> {
+        let events = capture.map(|mem| mem.drain()).unwrap_or_default();
+        let wall_ms = match outcome {
+            RunOutcome::Verdict(v) => v.wall_ms,
+            RunOutcome::Unknown(u) => u.wall_ms,
+            RunOutcome::Error(_) => 0.0,
         };
-        if wall_ms <= threshold as f64 {
-            return;
+        match self.slow_ms {
+            Some(threshold) if !cached && wall_ms > threshold as f64 => {
+                self.slow_log.push(SlowEntry {
+                    op: job.problem.op_name(),
+                    backend: job.backend.as_str(),
+                    status: outcome_status(outcome),
+                    wall_ms,
+                    threshold_ms: threshold,
+                    cached: false,
+                    events: events.clone(),
+                });
+            }
+            _ => {}
         }
-        self.slow_log.push(SlowEntry {
-            op: job.problem.op_name(),
-            backend: job.backend.as_str(),
-            status,
-            wall_ms,
-            threshold_ms: threshold,
-            cached: false,
-            events: events.to_vec(),
-        });
+        events
     }
+}
+
+/// Answers one job through the shared memo cache. A hit returns the cached
+/// verdict; a miss runs the job under panic containment and caches the
+/// outcome when it is a definite verdict (`unknown` and `error` outcomes
+/// are never cached). The lookup is recorded as a `memo` trace event and
+/// in the hit/miss counters. Returns the outcome and whether the cache
+/// answered it.
+pub fn run_job_memoized(
+    az: &mut Analyzer,
+    options: &AnalyzerOptions,
+    cache: &Mutex<HashMap<Job, Verdict>>,
+    job: &Job,
+    limits: &Limits,
+    rec: &Recorder,
+) -> (RunOutcome, bool) {
+    let hit = lock(cache).get(job).cloned();
+    note_memo_lookup(rec, job, hit.is_some());
+    if let Some(v) = hit {
+        return (RunOutcome::Verdict(v), true);
+    }
+    let outcome = run_job_contained(az, options, job, limits, rec);
+    if let RunOutcome::Verdict(v) = &outcome {
+        lock(cache).insert(job.clone(), v.clone());
+    }
+    (outcome, false)
 }
 
 /// Runs one job with panic containment: a panicking solve produces a
@@ -94,7 +132,7 @@ impl ObsCtx<'_> {
 /// may be mid-mutation), so one poisoned problem degrades one response
 /// instead of killing the worker — and with it every other response of
 /// the batch. Each contained panic increments `xsat_worker_panics_total`.
-pub fn run_job_contained(
+fn run_job_contained(
     az: &mut Analyzer,
     options: &AnalyzerOptions,
     job: &Job,
@@ -119,7 +157,7 @@ pub fn run_job_contained(
 
 /// Best-effort text of a panic payload (the `&str`/`String` carried by
 /// `panic!`; anything else renders as an opaque marker).
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     if let Some(s) = payload.downcast_ref::<&str>() {
         s
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -131,7 +169,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 
 /// One memo-cache lookup: the `memo` trace event plus the process-wide
 /// hit/miss counters.
-pub fn note_memo_lookup(rec: &Recorder, job: &Job, hit: bool) {
+fn note_memo_lookup(rec: &Recorder, job: &Job, hit: bool) {
     rec.event(
         "memo",
         &[
@@ -161,14 +199,14 @@ pub struct BatchStats {
     /// plus hits from earlier work).
     pub cache_hits: usize,
     /// Problems that actually ran a solve (including runs that came back
-    /// `unknown` or failed a cross-check): the complement of `cache_hits`
+    /// `unknown` or failed): the complement of `cache_hits`
     /// over the decision problems that reached the executor.
     pub cache_misses: usize,
     /// Problems that came back `"status":"unknown"`: a resource budget ran
     /// out before the solve could decide. Never cached.
     pub unknown: usize,
     /// Requests that failed: parse or resolution errors, plus solver-level
-    /// failures (dual-mode cross-check disagreements).
+    /// failures (rejected witnesses, contained panics).
     pub errors: usize,
     /// Worker threads used.
     pub threads: usize,
@@ -257,6 +295,76 @@ struct WorkItem {
     trace: bool,
 }
 
+/// The deduplicated work of one fan-out, in first-seen order.
+#[derive(Default)]
+struct WorkList {
+    items: Vec<WorkItem>,
+    /// `WorkItem` embeds `Limits`, whose `CancelToken` has interior
+    /// mutability — but the token's `Eq`/`Hash` deliberately ignore it
+    /// (all tokens compare equal), so the key is stable in this map.
+    index: HashMap<WorkItem, usize>,
+}
+
+impl WorkList {
+    /// The position of `item` in the list, appending it when new, and
+    /// whether it was already there.
+    fn intern(&mut self, item: WorkItem) -> (usize, bool) {
+        if let Some(&i) = self.index.get(&item) {
+            return (i, true);
+        }
+        let i = self.items.len();
+        self.index.insert(item.clone(), i);
+        self.items.push(item);
+        (i, false)
+    }
+}
+
+/// What the fan-out produced for one work item: the outcome, whether the
+/// memo cache answered it, and its serialized trace when the item asked
+/// for one.
+type ItemResult = (RunOutcome, bool, Option<Value>);
+
+/// Solves the deduplicated work items in parallel: each worker thread owns
+/// one of the long-lived analyzers and claims items off a shared cursor,
+/// answering each through [`run_job_memoized`]. The queue-depth gauge
+/// tracks the unclaimed work remaining. Results come back in item order;
+/// `None` marks an item no worker finished (which panic containment
+/// should make impossible).
+fn fan_out(
+    workers: &mut [Analyzer],
+    options: &AnalyzerOptions,
+    cache: &Mutex<HashMap<Job, Verdict>>,
+    obs_ctx: &ObsCtx<'_>,
+    work: &[WorkItem],
+) -> Vec<Option<ItemResult>> {
+    let results: Vec<OnceLock<ItemResult>> = (0..work.len()).map(|_| OnceLock::new()).collect();
+    let queue_depth = obs::metrics().gauge("xsat_executor_queue_depth", &[]);
+    queue_depth.set(work.len() as u64);
+    let cursor = AtomicUsize::new(0);
+    let (results_ref, cursor_ref, queue_ref) = (&results, &cursor, &queue_depth);
+    std::thread::scope(|scope| {
+        for az in workers.iter_mut() {
+            scope.spawn(move || loop {
+                let i = cursor_ref.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = work.get(i) else {
+                    break;
+                };
+                queue_ref.sub(1);
+                let (rec, capture) = obs_ctx.recorder(item.trace);
+                let (outcome, cached) =
+                    run_job_memoized(az, options, cache, &item.job, &item.limits, &rec);
+                let events = obs_ctx.finish(&item.job, &outcome, cached, capture);
+                let trace = item.trace.then(|| trace_value(&events));
+                // First write wins; a duplicate write (which would take a
+                // scheduling bug) is dropped rather than panicking the
+                // worker.
+                let _ = results_ref[i].set((outcome, cached, trace));
+            });
+        }
+    });
+    results.into_iter().map(OnceLock::into_inner).collect()
+}
+
 // The engine's full execution context is genuinely this wide; bundling
 // the arguments into a one-use struct would only rename the problem.
 #[allow(clippy::too_many_arguments)]
@@ -281,12 +389,7 @@ pub(crate) fn run_batch(
     // problems against the workspace as it stood when they were posed.
     let mut responses: Vec<Option<Value>> = (0..requests.len()).map(|_| None).collect();
     let mut pending: Vec<PendingProblem> = Vec::new();
-    let mut work: Vec<WorkItem> = Vec::new();
-    // `WorkItem` embeds `Limits`, whose `CancelToken` has interior
-    // mutability — but the token's `Eq`/`Hash` deliberately ignore it
-    // (all tokens compare equal), so the key is stable in this map.
-    #[allow(clippy::mutable_key_type)]
-    let mut work_of: HashMap<WorkItem, usize> = HashMap::new();
+    let mut work = WorkList::default();
     for (slot, req) in requests.iter().enumerate() {
         match &req.kind {
             RequestKind::RegisterDtd { name, source } => {
@@ -325,15 +428,7 @@ pub(crate) fn run_batch(
                             .map_or_else(|| default_limits.clone(), |l| l.apply(default_limits)),
                         trace: *trace,
                     };
-                    let (item, duplicate) = match work_of.get(&key) {
-                        Some(&j) => (j, true),
-                        None => {
-                            let j = work.len();
-                            work_of.insert(key.clone(), j);
-                            work.push(key);
-                            (j, false)
-                        }
-                    };
+                    let (item, duplicate) = work.intern(key);
                     pending.push(PendingProblem {
                         slot,
                         id: req.id.clone(),
@@ -368,68 +463,17 @@ pub(crate) fn run_batch(
             }
         }
     }
-    stats.unique_problems = work.len();
+    stats.unique_problems = work.items.len();
 
     // Pass 2 (parallel): fan the deduplicated work out over the workers.
-    // `(outcome, was_cache_hit, trace)` per item; only definite verdicts
-    // are inserted into the memo cache — unknowns and failed cross-checks
-    // are not. The queue-depth gauge tracks the unclaimed work remaining.
-    let results: Vec<OnceLock<(RunOutcome, bool, Option<Value>)>> =
-        (0..work.len()).map(|_| OnceLock::new()).collect();
-    let queue_depth = obs::metrics().gauge("xsat_executor_queue_depth", &[]);
-    queue_depth.set(work.len() as u64);
-    let cursor = AtomicUsize::new(0);
-    let work_ref = &work;
-    let results_ref = &results;
-    let cursor_ref = &cursor;
-    let queue_ref = &queue_depth;
-    std::thread::scope(|scope| {
-        for az in workers.iter_mut() {
-            scope.spawn(move || loop {
-                let i = cursor_ref.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = work_ref.get(i) else {
-                    break;
-                };
-                queue_ref.sub(1);
-                let (rec, capture) = obs_ctx.recorder(item.trace);
-                let hit = lock(cache).get(&item.job).cloned();
-                note_memo_lookup(&rec, &item.job, hit.is_some());
-                let (outcome, cached) = match hit {
-                    Some(v) => (RunOutcome::Verdict(v), true),
-                    None => {
-                        let outcome = run_job_contained(az, options, &item.job, &item.limits, &rec);
-                        if let RunOutcome::Verdict(v) = &outcome {
-                            lock(cache).insert(item.job.clone(), v.clone());
-                        }
-                        (outcome, false)
-                    }
-                };
-                let trace = capture.map(|mem| mem.drain()).map(|events| {
-                    if !cached {
-                        let wall_ms = match &outcome {
-                            RunOutcome::Verdict(v) => v.wall_ms,
-                            RunOutcome::Unknown(u) => u.wall_ms,
-                            RunOutcome::Error(_) => 0.0,
-                        };
-                        obs_ctx.note_slow(&item.job, outcome_status(&outcome), wall_ms, &events);
-                    }
-                    trace_value(&events)
-                });
-                // First write wins; a duplicate write (which would take a
-                // scheduling bug) is dropped rather than panicking the
-                // worker.
-                let _ =
-                    results_ref[i].set((outcome, cached, item.trace.then_some(trace).flatten()));
-            });
-        }
-    });
+    let results = fan_out(workers, options, cache, obs_ctx, &work.items);
 
     // Pass 3: fill problem responses in request order. A work item with no
     // result (a lost worker — which catch_unwind should make impossible)
     // degrades that one response to an error instead of aborting the
     // whole batch.
     for p in pending {
-        let Some((outcome, item_was_hit, trace)) = results[p.work].get() else {
+        let Some((outcome, item_was_hit, trace)) = &results[p.work] else {
             stats.errors += 1;
             stats.cache_misses += 1;
             responses[p.slot] = Some(error_response(
@@ -505,9 +549,8 @@ pub(crate) struct ProbeStats {
 }
 
 /// Solves a lint plan's probes through the batch machinery: probes are
-/// deduplicated on their canonical [`Job`] key, fanned out over the worker
-/// analyzers, and served from / inserted into the shared memo cache exactly
-/// like batch decision problems — a lint run warms the cache for later
+/// deduplicated on their canonical [`Job`] key and go through the same
+/// worker fan-out and shared memo cache as batch decision problems — a lint run warms the cache for later
 /// `check`/batch traffic and vice versa. Returns one [`lint::ProbeOutcome`]
 /// per probe, in probe order.
 pub(crate) fn solve_probes(
@@ -522,75 +565,27 @@ pub(crate) fn solve_probes(
     // Dedup on the memo key: distinct rules frequently pose the same
     // problem (a step prefix shared by dead-step and contradiction
     // probes), and each unique job must run exactly once.
-    let mut jobs: Vec<Job> = Vec::new();
-    let mut job_of: HashMap<Job, usize> = HashMap::new();
-    let mut slots: Vec<(usize, bool)> = Vec::with_capacity(probes.len());
-    for probe in probes {
-        let job = Job {
-            problem: probe.problem.clone(),
-            backend,
-        };
-        match job_of.get(&job) {
-            Some(&j) => slots.push((j, true)),
-            None => {
-                let j = jobs.len();
-                job_of.insert(job.clone(), j);
-                jobs.push(job);
-                slots.push((j, false));
-            }
-        }
-    }
-
-    let results: Vec<OnceLock<(RunOutcome, bool)>> =
-        (0..jobs.len()).map(|_| OnceLock::new()).collect();
-    let queue_depth = obs::metrics().gauge("xsat_executor_queue_depth", &[]);
-    queue_depth.set(jobs.len() as u64);
-    let cursor = AtomicUsize::new(0);
-    let jobs_ref = &jobs;
-    let results_ref = &results;
-    let cursor_ref = &cursor;
-    let queue_ref = &queue_depth;
-    std::thread::scope(|scope| {
-        for az in workers.iter_mut() {
-            scope.spawn(move || loop {
-                let i = cursor_ref.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs_ref.get(i) else {
-                    break;
-                };
-                queue_ref.sub(1);
-                let (rec, capture) = obs_ctx.recorder(false);
-                let hit = lock(cache).get(job).cloned();
-                note_memo_lookup(&rec, job, hit.is_some());
-                let (outcome, cached) = match hit {
-                    Some(v) => (RunOutcome::Verdict(v), true),
-                    None => {
-                        let outcome = run_job_contained(az, options, job, limits, &rec);
-                        if let RunOutcome::Verdict(v) = &outcome {
-                            lock(cache).insert(job.clone(), v.clone());
-                        }
-                        (outcome, false)
-                    }
-                };
-                if !cached {
-                    if let Some(events) = capture.map(|mem| mem.drain()) {
-                        let wall_ms = match &outcome {
-                            RunOutcome::Verdict(v) => v.wall_ms,
-                            RunOutcome::Unknown(u) => u.wall_ms,
-                            RunOutcome::Error(_) => 0.0,
-                        };
-                        obs_ctx.note_slow(job, outcome_status(&outcome), wall_ms, &events);
-                    }
-                }
-                let _ = results_ref[i].set((outcome, cached));
-            });
-        }
-    });
+    let mut work = WorkList::default();
+    let slots: Vec<(usize, bool)> = probes
+        .iter()
+        .map(|probe| {
+            work.intern(WorkItem {
+                job: Job {
+                    problem: probe.problem.clone(),
+                    backend,
+                },
+                limits: limits.clone(),
+                trace: false,
+            })
+        })
+        .collect();
+    let results = fan_out(workers, options, cache, obs_ctx, &work.items);
 
     let mut stats = ProbeStats::default();
     let outcomes = slots
         .iter()
         .map(|&(j, duplicate)| {
-            let Some((outcome, job_was_hit)) = results[j].get() else {
+            let Some((outcome, job_was_hit, _)) = &results[j] else {
                 stats.misses += 1;
                 return lint::ProbeOutcome::Error {
                     reason: "internal: this lint probe was never executed".to_owned(),

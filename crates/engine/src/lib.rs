@@ -61,7 +61,7 @@ use std::sync::{Arc, Mutex};
 use analyzer::{Analyzer, AnalyzerOptions};
 use solver::SymbolicOptions;
 
-pub use executor::{note_memo_lookup, run_job_contained, BatchOutcome, BatchStats};
+pub use executor::{run_job_memoized, BatchOutcome, BatchStats};
 pub use framing::{read_framed, Framed, DEFAULT_MAX_LINE_BYTES};
 pub use json::Value;
 pub use obs::{JsonlSink, MemorySink, Recorder, Sink, SlowEntry, SlowLog};
@@ -144,8 +144,7 @@ pub struct Engine {
     workers: Vec<Analyzer>,
     /// Verdict memo cache, keyed by the canonical problem *plus* the
     /// backend that answered it: a symbolic verdict must never be served
-    /// for an explicit-backend request, and dual-mode verdicts live under
-    /// their own key.
+    /// for an explicit-backend request.
     cache: Mutex<HashMap<Job, Verdict>>,
     counters: Counters,
     options: AnalyzerOptions,
@@ -274,60 +273,54 @@ impl Engine {
                 backend,
                 limits,
                 trace,
-            } => match spec.resolve(&self.workspace) {
-                Ok(problem) => {
-                    self.counters.problems += 1;
-                    let job = Job {
-                        problem,
-                        backend: backend.unwrap_or(self.options.backend),
-                    };
-                    let effective = limits
-                        .as_ref()
-                        .map_or_else(|| self.limits.clone(), |l| l.apply(&self.limits));
-                    let obs_ctx = ObsCtx {
-                        trace_sink: self.trace_sink.as_ref(),
-                        slow_ms: self.slow_solve_ms,
-                        slow_log: &self.slow_log,
-                    };
-                    let (rec, capture) = obs_ctx.recorder(*trace);
-                    let hit = lock(&self.cache).get(&job).cloned();
-                    note_memo_lookup(&rec, &job, hit.is_some());
-                    let (verdict, cached) = match hit {
-                        Some(v) => {
-                            self.counters.cache_hits += 1;
-                            (v, true)
-                        }
-                        None => {
-                            self.counters.cache_misses += 1;
-                            match run_job(&mut self.session, &job, &effective, &rec) {
-                                RunOutcome::Verdict(v) => {
-                                    lock(&self.cache).insert(job.clone(), v.clone());
-                                    (v, false)
-                                }
-                                RunOutcome::Unknown(u) => {
-                                    // An exhausted budget is never cached: a
-                                    // retry with bigger limits must re-solve.
-                                    self.counters.unknown += 1;
-                                    let events = capture.map(|m| m.drain()).unwrap_or_default();
-                                    obs_ctx.note_slow(&job, "unknown", u.wall_ms, &events);
-                                    let tr = trace.then(|| protocol::trace_value(&events));
-                                    return unknown_response(req.id.as_ref(), spec.op(), &u, tr);
-                                }
-                                RunOutcome::Error(e) => return self.error(req.id.as_ref(), &e),
-                            }
-                        }
-                    };
-                    let events = capture.map(|m| m.drain()).unwrap_or_default();
-                    if !cached {
-                        let status = if verdict.holds { "holds" } else { "fails" };
-                        obs_ctx.note_slow(&job, status, verdict.wall_ms, &events);
-                    }
-                    let tr = trace.then(|| protocol::trace_value(&events));
-                    let wall = if cached { 0.0 } else { verdict.wall_ms };
-                    verdict_response(req.id.as_ref(), spec.op(), &verdict, cached, wall, tr)
+            } => {
+                let problem = match spec.resolve(&self.workspace) {
+                    Ok(problem) => problem,
+                    Err(e) => return self.error(req.id.as_ref(), &e),
+                };
+                self.counters.problems += 1;
+                let job = Job {
+                    problem,
+                    backend: backend.unwrap_or(self.options.backend),
+                };
+                let effective = limits
+                    .as_ref()
+                    .map_or_else(|| self.limits.clone(), |l| l.apply(&self.limits));
+                let obs_ctx = ObsCtx {
+                    trace_sink: self.trace_sink.as_ref(),
+                    slow_ms: self.slow_solve_ms,
+                    slow_log: &self.slow_log,
+                };
+                let (rec, capture) = obs_ctx.recorder(*trace);
+                let (outcome, cached) = run_job_memoized(
+                    &mut self.session,
+                    &self.options,
+                    &self.cache,
+                    &job,
+                    &effective,
+                    &rec,
+                );
+                let events = obs_ctx.finish(&job, &outcome, cached, capture);
+                if cached {
+                    self.counters.cache_hits += 1;
+                } else {
+                    self.counters.cache_misses += 1;
                 }
-                Err(e) => self.error(req.id.as_ref(), &e),
-            },
+                let tr = trace.then(|| protocol::trace_value(&events));
+                match &outcome {
+                    RunOutcome::Verdict(v) => {
+                        let wall = if cached { 0.0 } else { v.wall_ms };
+                        verdict_response(req.id.as_ref(), spec.op(), v, cached, wall, tr)
+                    }
+                    RunOutcome::Unknown(u) => {
+                        // An exhausted budget is never cached: a retry
+                        // with bigger limits must re-solve.
+                        self.counters.unknown += 1;
+                        unknown_response(req.id.as_ref(), spec.op(), u, tr)
+                    }
+                    RunOutcome::Error(e) => self.error(req.id.as_ref(), e),
+                }
+            }
             RequestKind::Lint(spec) => self.run_lint(req.id.as_ref(), spec),
             RequestKind::Stats => self.stats_response(req.id.as_ref()),
             RequestKind::Metrics => {

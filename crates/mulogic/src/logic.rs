@@ -31,7 +31,7 @@ use crate::syntax::{Formula, FormulaKind, Program, Var};
 /// let f = lg.and(a, t);
 /// assert_eq!(f, a); // ⊤ is the unit of ∧
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Logic {
     nodes: Vec<FormulaKind>,
     interned: HashMap<FormulaKind, Formula>,

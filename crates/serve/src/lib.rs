@@ -25,8 +25,8 @@
 //!   resolved to structural ASTs before they reach the shared memo cache.
 //!   Each tenant carries its own default [`Limits`] and an in-flight cap
 //!   so one tenant cannot starve the rest.
-//! - **Failure containment**: every solve runs under
-//!   [`engine::run_job_contained`] — a panicking solve degrades to one
+//! - **Failure containment**: every solve goes through
+//!   [`engine::run_job_memoized`] — a panicking solve degrades to one
 //!   `error` response, increments `xsat_worker_panics_total`, and rebuilds
 //!   that worker's analyzer; the worker thread never dies. Hostile or
 //!   broken clients are bounded too: per-line byte caps (oversized lines
@@ -60,6 +60,7 @@ mod server;
 mod tenant;
 mod worker;
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use engine::BackendChoice;
@@ -145,3 +146,10 @@ impl Default for ServerConfig {
 /// The tenant name requests fall back to when they carry no `tenant`
 /// field — single-tenant deployments never need to name one.
 pub const DEFAULT_TENANT: &str = "default";
+
+/// Locks ignoring poisoning: workers contain panics, and a poisoned lock
+/// (on the admission queue, the tenant table, the server state) must not
+/// wedge every later request.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -10,6 +10,8 @@
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
+use crate::lock;
+
 /// Why [`Queue::try_push`] refused an item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PushError {
@@ -100,11 +102,6 @@ impl<T> Queue<T> {
         lock(&self.inner).closed = true;
         self.ready.notify_all();
     }
-}
-
-/// Locks ignoring poisoning: a panicked thread must not wedge admission.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -24,9 +24,10 @@ use engine::{Job, Verdict};
 use solver::CancelToken;
 
 use crate::conn::handle_connection;
+use crate::lock;
 use crate::queue::Queue;
 use crate::tenant::{Inflight, Tenants};
-use crate::worker::{lock, worker_loop, WorkUnit};
+use crate::worker::{worker_loop, WorkUnit};
 use crate::ServerConfig;
 
 /// The lifecycle ladder (one-way).
@@ -115,7 +116,7 @@ impl Shared {
             }
         }
         // Admission closes: readers shed new problems (state check), and
-        // the queue refuses racing pushes while workers drain its backlog
+        // the queue refuses concurrent pushes while workers drain its backlog
         // and exit.
         self.queue.close();
         let mut forced = false;

@@ -2,10 +2,11 @@
 //!
 //! Each worker thread owns one [`Analyzer`] (its own formula arena and
 //! warm BDD manager) and loops on the admission queue. All workers share
-//! one structural memo cache. Every solve runs under
-//! [`engine::run_job_contained`]: a panicking solve degrades to one
-//! `error` response and rebuilds that worker's analyzer — the thread, and
-//! every other in-flight request, survives.
+//! one structural memo cache. Every solve goes through
+//! [`engine::run_job_memoized`], which runs a cache miss under panic
+//! containment: a panicking solve degrades to one `error` response and
+//! rebuilds that worker's analyzer — the thread, and every other in-flight
+//! request, survives.
 
 use std::collections::HashMap;
 use std::sync::mpsc::Sender;
@@ -14,8 +15,8 @@ use std::time::{Duration, Instant};
 
 use analyzer::{Analyzer, AnalyzerOptions};
 use engine::{
-    error_response, note_memo_lookup, run_job_contained, trace_value, unknown_response,
-    verdict_response, Job, Op, Recorder, RunOutcome, UnknownVerdict, Value, Verdict,
+    error_response, run_job_memoized, trace_value, unknown_response, verdict_response, Job, Op,
+    Recorder, RunOutcome, UnknownVerdict, Value, Verdict,
 };
 use obs::MemorySink;
 use solver::Limits;
@@ -108,18 +109,7 @@ fn solve(
         Some(mem) => Recorder::with_sinks(vec![mem.clone() as Arc<dyn obs::Sink>]),
         None => Recorder::noop(),
     };
-    let hit = lock(cache).get(&unit.job).cloned();
-    note_memo_lookup(&rec, &unit.job, hit.is_some());
-    let (outcome, cached) = match hit {
-        Some(v) => (RunOutcome::Verdict(v), true),
-        None => {
-            let outcome = run_job_contained(az, options, &unit.job, &unit.limits, &rec);
-            if let RunOutcome::Verdict(v) = &outcome {
-                lock(cache).insert(unit.job.clone(), v.clone());
-            }
-            (outcome, false)
-        }
-    };
+    let (outcome, cached) = run_job_memoized(az, options, cache, &unit.job, &unit.limits, &rec);
     let trace = capture.map(|mem| trace_value(&mem.drain()));
     let response = match &outcome {
         RunOutcome::Verdict(v) => {
@@ -218,10 +208,4 @@ pub(crate) fn shed_response(
 /// Milliseconds of a duration, as f64.
 pub(crate) fn duration_ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1000.0
-}
-
-/// Locks ignoring poisoning (workers contain panics; a poisoned cache
-/// would otherwise wedge every later request).
-pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }

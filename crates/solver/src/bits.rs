@@ -196,8 +196,8 @@ impl BoolAlg for WordAlg<'_> {
 /// Returns one bitset over the type universe per formula, in order.
 ///
 /// Polls `limits` (cancel token, then deadline) once per block so a
-/// portfolio loser aborts mid-construction instead of finishing a build
-/// nobody will read.
+/// cancelled or timed-out solve aborts mid-construction instead of
+/// finishing a build nobody will read.
 pub(crate) fn status_columns(
     lg: &mut Logic,
     lean: &Lean,
@@ -295,7 +295,7 @@ impl<'l> TypeEnumerator<'l> {
 
     /// [`all`](TypeEnumerator::all), budget-governed: polls `limits`
     /// (cancel token + deadline) once per diamond mask so a cancelled
-    /// racer aborts mid-enumeration.
+    /// solve aborts mid-enumeration.
     ///
     /// Two lean-aware prunes run at the mask level, before any type of
     /// the mask materializes:

@@ -26,12 +26,9 @@
 //! reconstruction.
 //!
 //! Backend selection is a first-class concept: [`BackendChoice`] names the
-//! three backends plus the [`BackendChoice::Dual`] cross-check mode and
-//! the [`BackendChoice::Portfolio`] racing mode (every feasible backend on
-//! worker threads under one shared deadline, first verdict wins, the rest
-//! are cooperatively cancelled through [`Limits::cancel`]), and
-//! [`solve_with`] dispatches on it. Each run reports typed per-backend
-//! [`Telemetry`] in its [`Stats`].
+//! three backends and [`solve_with`] dispatches on it. The symbolic backend
+//! is the paper's algorithm; the other two are its reference oracles. Each
+//! run reports typed per-backend [`Telemetry`] in its [`Stats`].
 //!
 //! Runs are *resource-governed*: [`solve_with`] (and the kernel's
 //! [`run_fixpoint`]) take a [`Limits`] value — wall-clock deadline, BDD
@@ -64,7 +61,6 @@ mod explicit;
 pub mod kernel;
 mod limits;
 mod outcome;
-pub(crate) mod portfolio;
 mod prepare;
 mod symbolic;
 mod witnessed;
@@ -73,7 +69,7 @@ pub use bits::{TypeBits, TypeEnumerator, MAX_EXPLICIT_DIAMONDS};
 pub use explicit::solve_explicit;
 pub use kernel::{
     run_fixpoint, run_fixpoint_traced, solve_with, solve_with_in, solve_with_traced, Backend,
-    BackendChoice, CrossCheckError, SolveError, StepObservation,
+    BackendChoice, SolveError, StepObservation,
 };
 pub use limits::{CancelToken, Exhausted, Limits, Resource};
 pub use outcome::{BddCounters, Model, Outcome, Solved, Stats, Telemetry};

@@ -22,14 +22,15 @@ use crate::bits::MAX_EXPLICIT_DIAMONDS;
 
 /// Cooperative cancellation of an in-flight solve.
 ///
-/// The portfolio mode clones one armed token into every racer; the first
-/// racer to finish flips the shared flag and the others abort at their
-/// next poll point — the per-`Upd`-step check in
-/// [`run_fixpoint`](crate::run_fixpoint), the symbolic backend's budget
-/// poll between relational-product clauses, and the enumeration and
-/// table-construction loops of the enumerating backends — with a
-/// [`Resource::Cancelled`] exhaustion. The default token is inert: it is
-/// never cancelled and polling it is a single `Option` check.
+/// The serving tier clones one armed drain token into the limits of every
+/// admitted request; a shutdown past its drain deadline flips the shared
+/// flag and every running solve aborts at its next poll point — the
+/// per-`Upd`-step check in [`run_fixpoint`](crate::run_fixpoint), the
+/// symbolic backend's budget poll between relational-product clauses, and
+/// the enumeration and table-construction loops of the enumerating
+/// backends — with a [`Resource::Cancelled`] exhaustion. The default token
+/// is inert: it is never cancelled and polling it is a single `Option`
+/// check.
 ///
 /// The token deliberately does not participate in equality or hashing:
 /// two [`Limits`] that differ only in their cancellation wiring describe
@@ -101,7 +102,7 @@ pub struct Limits {
     /// Cap on `Upd` fixpoint iterations.
     pub max_iterations: Option<usize>,
     /// Cap on `⟨a⟩ϕ` lean entries accepted by the enumerating backends
-    /// (explicit, witnessed, and the explicit half of dual mode). The
+    /// (explicit and witnessed). The
     /// enumeration is exponential in this count; the default is the
     /// paper-scale [`MAX_EXPLICIT_DIAMONDS`]. Values above the
     /// enumeration's representation limit (26) are clamped to it by the
@@ -109,8 +110,9 @@ pub struct Limits {
     /// typed exhaustion — never a panic.
     pub max_lean_diamonds: usize,
     /// Cooperative cancellation, polled alongside the deadline at every
-    /// budget check. Inert by default; the portfolio mode arms one token
-    /// shared by its racers. Ignored by equality and hashing.
+    /// budget check. Inert by default; the serving tier arms one drain
+    /// token shared by every admitted solve. Ignored by equality and
+    /// hashing.
     pub cancel: CancelToken,
 }
 
@@ -198,9 +200,8 @@ pub enum Resource {
     Iterations,
     /// `⟨a⟩ϕ` lean entries presented to an enumerating backend.
     LeanDiamonds,
-    /// Cooperative cancellation: another racer of a portfolio solve
-    /// finished first. Never surfaces in protocol responses — the
-    /// portfolio coordinator discards the losers' reports.
+    /// Cooperative cancellation: the caller tripped the solve's
+    /// [`CancelToken`] (a draining server cancelling stragglers).
     Cancelled,
 }
 
@@ -248,7 +249,7 @@ impl Exhausted {
         }
     }
 
-    /// A cancellation report: a concurrent racer finished first after
+    /// A cancellation report: the cancel token was tripped after
     /// `elapsed` of this run. There is no meaningful budget; `limit` is 0.
     pub fn cancelled(elapsed: Duration) -> Exhausted {
         Exhausted {
@@ -282,11 +283,9 @@ impl fmt::Display for Exhausted {
                 "resource exhausted: lean has {} diamonds, the cap is {}",
                 self.spent, self.limit
             ),
-            Resource::Cancelled => write!(
-                f,
-                "resource exhausted: cancelled by a concurrent racer after {} ms",
-                self.spent
-            ),
+            Resource::Cancelled => {
+                write!(f, "resource exhausted: cancelled after {} ms", self.spent)
+            }
         }
     }
 }
@@ -327,25 +326,25 @@ mod tests {
     #[test]
     fn cancel_token_is_shared_and_invisible_to_equality() {
         let token = CancelToken::armed();
-        let racer = Limits {
+        let drained = Limits {
             cancel: token.clone(),
             ..Limits::default()
         };
         // Armed-but-uncancelled polls pass; the token still counts as a
         // bound so pollers are not skipped.
-        assert!(racer.poll(Instant::now()).is_ok());
+        assert!(drained.poll(Instant::now()).is_ok());
         assert!(!Limits {
             cancel: token.clone(),
             ..Limits::none()
         }
         .is_unbounded());
         token.cancel();
-        let e = racer.poll(Instant::now()).unwrap_err();
+        let e = drained.poll(Instant::now()).unwrap_err();
         assert_eq!(e.resource, Resource::Cancelled);
         assert_eq!(Resource::Cancelled.as_str(), "cancelled");
         // The token never participates in the budget contract's identity:
         // the memo cache must key identically-budgeted solves together.
-        assert_eq!(racer, Limits::default());
+        assert_eq!(drained, Limits::default());
         // `after` carries the token along.
         let timed = Limits {
             deadline: Some(Duration::from_millis(100)),

@@ -141,8 +141,8 @@ struct Sym<'m> {
     started: Instant,
     /// Wall-clock budget of the run, when one is set.
     deadline: Option<Duration>,
-    /// Cooperative cancellation, polled with the deadline: a portfolio
-    /// sibling's win aborts this run between relational-product clauses.
+    /// Cooperative cancellation, polled with the deadline: a tripped token
+    /// aborts this run between relational-product clauses.
     cancel: CancelToken,
 }
 

@@ -55,8 +55,7 @@ impl Tables {
     ) -> Result<Tables, Exhausted> {
         let en = TypeEnumerator::new(lean);
         // The enumeration and the word-parallel status evaluation both
-        // poll the limits, so a cancelled portfolio racer aborts
-        // mid-construction.
+        // poll the limits, so a cancelled solve aborts mid-construction.
         let types = en.enumerate(true, limits, started)?;
         let entries: Vec<(usize, Program, Formula)> = lean.diam_entries().collect();
         let formulas: Vec<Formula> = entries
@@ -148,11 +147,6 @@ struct Witnessed {
     witnesses: HashMap<Key, (Vec<Key>, Vec<Key>)>,
     first_proved: HashMap<Key, usize>,
     round: usize,
-    /// Compact XML of the reconstructed model. The kernel calls
-    /// `reconstruct` before it snapshots `telemetry()`, so stashing the
-    /// witness here makes it reachable from [`Telemetry::Witnessed`]
-    /// instead of dying with the backend state.
-    witness_xml: Option<String>,
 }
 
 impl Witnessed {
@@ -171,7 +165,6 @@ impl Witnessed {
             witnesses: HashMap::new(),
             first_proved: HashMap::new(),
             round: 0,
-            witness_xml: None,
         })
     }
 }
@@ -283,16 +276,13 @@ impl Backend for Witnessed {
 
     fn reconstruct(&mut self, (root, path): (Key, Vec<Key>)) -> Model {
         let tree = rebuild(&self.tab, &self.witnesses, &self.first_proved, root, &path);
-        let model = Model::from_binary(&tree);
-        self.witness_xml = Some(model.xml());
-        model
+        Model::from_binary(&tree)
     }
 
     fn telemetry(&self) -> Telemetry {
         Telemetry::Witnessed {
             types: self.tab.types.len(),
             proved: self.proved.len(),
-            witness: self.witness_xml.clone(),
         }
     }
 
@@ -531,18 +521,5 @@ mod tests {
         assert!(s.stats.telemetry.explicit_types().unwrap() > 0);
         assert_eq!(s.stats.telemetry.backend_name(), "witnessed");
         assert!(s.stats.iterations >= 2);
-    }
-
-    #[test]
-    fn witness_is_reachable_from_telemetry() {
-        // The reconstructed model must not die with the backend state: its
-        // XML rides the telemetry wherever the stats travel.
-        let s = solve("a & <1>b");
-        let xml = s.outcome.model().expect("satisfiable").xml();
-        assert_eq!(s.stats.telemetry.witness_xml(), Some(xml.as_str()));
-        // Unsatisfiable runs carry no witness.
-        let s = solve("a & ~a");
-        assert!(!s.outcome.is_satisfiable());
-        assert_eq!(s.stats.telemetry.witness_xml(), None);
     }
 }

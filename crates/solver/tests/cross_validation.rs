@@ -6,7 +6,7 @@
 //! [`solver::Backend`] impls driven by the same `run_fixpoint` loop. On
 //! every random cycle-free formula they must agree — whether called
 //! through their direct wrappers or dispatched via
-//! [`solver::solve_with`], including the dual cross-check mode — and any
+//! [`solver::solve_with`] — and any
 //! satisfiable verdict must come with a model accepted by the independent
 //! model checker of Fig 2.
 
@@ -17,7 +17,7 @@ use mulogic::{cycle_free, Formula, Logic, ModelChecker, Program};
 use proptest::prelude::*;
 use solver::{
     solve_explicit, solve_symbolic, solve_with, solve_witnessed, BackendChoice, Limits,
-    SymbolicOptions, Telemetry,
+    SymbolicOptions,
 };
 
 /// A recipe for building random cycle-free formulas without reference to a
@@ -151,16 +151,15 @@ proptest! {
         }
     }
 
-    /// Dispatch through `solve_with` agrees across every `BackendChoice`
-    /// (so the dual cross-check never reports a disagreement on feasible
-    /// formulas), models pass the model checker, and each run's telemetry
+    /// Dispatch through `solve_with` agrees across every `BackendChoice`,
+    /// models pass the model checker, and each run's telemetry
     /// names the backend that produced it.
     #[test]
     fn backend_dispatch_agrees(shape in arb_shape(2)) {
         let mut lg = Logic::new();
         let goal = build(&mut lg, &shape);
         prop_assume!(cycle_free(&lg, goal));
-        // Keep the explicit enumerations tractable (dual runs one too).
+        // Keep the explicit enumerations tractable.
         let prep = solver::Prepared::new(&mut lg, goal);
         prop_assume!(prep.lean.diam_entries().count() <= 10);
 
@@ -266,7 +265,7 @@ proptest! {
         let mut lg = Logic::new();
         let goal = build(&mut lg, &shape);
         prop_assume!(cycle_free(&lg, goal));
-        // Keep the explicit enumerations tractable (dual runs one too).
+        // Keep the explicit enumerations tractable.
         let prep = solver::Prepared::new(&mut lg, goal);
         prop_assume!(prep.lean.diam_entries().count() <= 10);
 
@@ -304,57 +303,6 @@ proptest! {
                     lg.display(goal)
                 );
             }
-        }
-    }
-
-    /// The portfolio race under generous limits returns the symbolic
-    /// verdict, and the telemetry names a winner that actually raced.
-    #[test]
-    fn portfolio_agrees_with_symbolic(shape in arb_shape(2)) {
-        let mut lg = Logic::new();
-        let goal = build(&mut lg, &shape);
-        prop_assume!(cycle_free(&lg, goal));
-
-        let reference = solve_symbolic(&mut lg, goal).outcome.is_satisfiable();
-        let generous = Limits {
-            deadline: Some(Duration::from_secs(300)),
-            max_bdd_nodes: Some(100_000_000),
-            max_iterations: Some(1_000_000),
-            max_lean_diamonds: 16,
-            ..Limits::none()
-        };
-        let raced_run = solve_with(
-            &mut lg,
-            goal,
-            BackendChoice::Portfolio,
-            &SymbolicOptions::default(),
-            &generous,
-        )
-        .unwrap_or_else(|e| panic!("portfolio exhausted generous limits on {}: {e}", lg.display(goal)));
-        prop_assert_eq!(
-            raced_run.outcome.is_satisfiable(),
-            reference,
-            "portfolio disagrees with symbolic on {}",
-            lg.display(goal)
-        );
-        let Telemetry::Portfolio { winner, raced, .. } = &raced_run.stats.telemetry else {
-            panic!("portfolio run reported {} telemetry", raced_run.stats.telemetry.backend_name());
-        };
-        prop_assert!(
-            raced.contains(winner),
-            "winner {} was not among the raced backends {:?}",
-            winner,
-            raced
-        );
-        prop_assert!(raced.contains(&"symbolic"), "symbolic always races");
-        if let Some(m) = raced_run.outcome.model() {
-            let mc = ModelChecker::new_row(m.roots());
-            prop_assert!(
-                !mc.eval(&lg, goal).is_empty(),
-                "portfolio model {} fails check for {}",
-                m,
-                lg.display(goal)
-            );
         }
     }
 }
