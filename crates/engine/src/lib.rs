@@ -11,11 +11,14 @@
 //!   `{"op":"contains","lhs":"q1","rhs":"q2","type":"dtd1"}` in, structured
 //!   verdicts with counter-example XML, solver statistics and wall-clock
 //!   timings out;
+//! * one **request core** ([`Service`]) — resolve, memo lookup, contained
+//!   solve, trace and slow-log capture, rendering — holding the shared
+//!   **memo cache** of verdicts keyed by a canonical structural hash of
+//!   the problem ([`Problem`]). Every front end goes through it: the
+//!   `serve` crate's TCP tier as well as the [`Engine`] here;
 //! * a **parallel batch executor** ([`Engine::run_batch`]) — independent
 //!   problems fan out across worker threads, each worker holding its own
-//!   formula arena and BDD manager, with a shared **memo cache** of
-//!   verdicts keyed by a canonical structural hash of the problem
-//!   ([`Problem`]);
+//!   formula arena and BDD manager;
 //! * a **serve loop** ([`Engine::serve`]) reading JSONL from any reader and
 //!   streaming verdicts to any writer, which is what the `xsat serve`
 //!   daemon mode wraps around stdin/stdout.
@@ -50,18 +53,18 @@ pub mod framing;
 pub mod json;
 pub mod problem;
 pub mod protocol;
+pub mod service;
 pub mod workspace;
 
 mod executor;
 
-use std::collections::HashMap;
 use std::io::{BufRead, Write};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use analyzer::{Analyzer, AnalyzerOptions};
+use analyzer::Analyzer;
 use solver::SymbolicOptions;
 
-pub use executor::{run_job_memoized, BatchOutcome, BatchStats};
+pub use executor::{BatchOutcome, BatchStats};
 pub use framing::{read_framed, Framed, DEFAULT_MAX_LINE_BYTES};
 pub use json::Value;
 pub use obs::{JsonlSink, MemorySink, Recorder, Sink, SlowEntry, SlowLog};
@@ -69,16 +72,17 @@ pub use problem::{
     run_job, CounterExample, Job, Problem, RunOutcome, UnknownVerdict, Verdict, VerdictStats,
 };
 pub use protocol::{
-    counterexample_value, error_response, event_value, lint_response, metrics_response,
-    registration_response, slowlog_response, trace_value, unknown_response, verdict_response,
-    LimitsSpec, LintSpec, Op, ProblemSpec, Request, RequestKind, Status, PROTOCOL_VERSION,
+    counterexample_value, error_response, event_value, is_error, lint_response, metrics_response,
+    registration_response, response, slowlog_response, trace_value, unknown_response,
+    verdict_response, LimitsSpec, LintSpec, Op, ProblemSpec, Request, RequestKind, Status,
+    PROTOCOL_VERSION,
 };
+pub use service::{lock, register, Service, Solved, WorkItem};
 pub use solver::{BackendChoice, BddCounters, Limits, Resource, SolveError, Telemetry};
 pub use workspace::Workspace;
 
-use executor::{lock, ObsCtx};
-
-/// Construction-time knobs of an [`Engine`].
+/// Construction-time knobs of an [`Engine`] (and of the [`Service`] at
+/// its core).
 #[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
     /// Worker threads for batch execution; `0` picks the machine's
@@ -126,41 +130,42 @@ pub struct Counters {
     pub batches: u64,
 }
 
-/// The long-lived analysis service: workspace + worker analyzers + memo
-/// cache.
+impl Counters {
+    /// Counts one answered decision problem — a request, a batch entry or
+    /// a lint probe: a memo hit (see [`Solved::hit`]) or a miss, and an
+    /// unknown when its budget ran out. Errors are counted by the
+    /// responses they produce.
+    pub fn count(&mut self, solved: &Solved, duplicate: bool) {
+        self.problems += 1;
+        if solved.hit(duplicate) {
+            self.cache_hits += 1;
+        } else {
+            self.cache_misses += 1;
+        }
+        if let RunOutcome::Unknown(_) = solved.outcome {
+            self.unknown += 1;
+        }
+    }
+}
+
+/// The long-lived analysis service: workspace + worker analyzers around
+/// the shared request [`Service`].
 ///
 /// One engine amortizes state across requests on three levels: the
 /// workspace keeps parsed queries and grammars, each worker's [`Analyzer`]
 /// keeps its formula arena and compiled type formulas across batches, and
-/// the memo cache keeps final verdicts keyed by the canonical structure of
-/// the problem.
+/// the service's memo cache keeps final verdicts keyed by the canonical
+/// structure of the problem.
 #[derive(Debug)]
 pub struct Engine {
     workspace: Workspace,
-    /// Serves the sequential front end (`execute`): one more long-lived
-    /// arena, independent of the batch workers.
+    /// Serves the sequential front end (`execute`) and plans lint runs:
+    /// one more long-lived arena, independent of the batch workers.
     session: Analyzer,
     /// One analyzer per batch worker thread, kept alive across batches.
     workers: Vec<Analyzer>,
-    /// Verdict memo cache, keyed by the canonical problem *plus* the
-    /// backend that answered it: a symbolic verdict must never be served
-    /// for an explicit-backend request.
-    cache: Mutex<HashMap<Job, Verdict>>,
+    service: Service,
     counters: Counters,
-    options: AnalyzerOptions,
-    /// Engine-default resource limits; per-request `"limits"` objects
-    /// override them field-wise.
-    limits: Limits,
-    /// Optional process-wide trace sink (`--trace-file`), cloned into
-    /// every per-solve recorder.
-    trace_sink: Option<Arc<dyn Sink>>,
-    /// Slow-solve capture threshold; `None` disables the slow log.
-    slow_solve_ms: Option<u64>,
-    /// Ring buffer of captured slow solves, shared by the sequential
-    /// front end and the batch workers.
-    slow_log: SlowLog,
-    /// Per-line byte cap of the serve loop.
-    max_line_bytes: usize,
 }
 
 impl Default for Engine {
@@ -177,47 +182,20 @@ impl Engine {
 
     /// An engine with explicit options.
     pub fn with_config(config: EngineConfig) -> Engine {
-        let threads = if config.threads == 0 {
-            std::thread::available_parallelism()
-                .map_or(1, std::num::NonZeroUsize::get)
-                .min(16)
-        } else {
-            config.threads
-        };
-        let options = AnalyzerOptions {
-            backend: config.backend,
-            symbolic: config.options,
-        };
+        let service = Service::new(config);
         Engine {
             workspace: Workspace::new(),
-            session: Analyzer::with_options(options.clone()),
-            workers: (0..threads)
-                .map(|_| Analyzer::with_options(options.clone()))
-                .collect(),
-            cache: Mutex::new(HashMap::new()),
+            session: service.analyzer(),
+            workers: (0..service.threads()).map(|_| service.analyzer()).collect(),
+            service,
             counters: Counters::default(),
-            options,
-            limits: config.limits,
-            trace_sink: config.trace_sink,
-            slow_solve_ms: config.slow_solve_ms,
-            slow_log: SlowLog::default(),
-            max_line_bytes: if config.max_line_bytes == 0 {
-                framing::DEFAULT_MAX_LINE_BYTES
-            } else {
-                config.max_line_bytes
-            },
         }
     }
 
     /// The ring buffer of captured slow solves (empty unless
     /// [`EngineConfig::slow_solve_ms`] is set).
     pub fn slow_log(&self) -> &SlowLog {
-        &self.slow_log
-    }
-
-    /// The configured slow-solve threshold, in milliseconds.
-    pub fn slow_solve_ms(&self) -> Option<u64> {
-        self.slow_solve_ms
+        self.service.slow_log()
     }
 
     /// Number of batch worker threads.
@@ -227,13 +205,7 @@ impl Engine {
 
     /// The default backend for requests that do not name one.
     pub fn default_backend(&self) -> BackendChoice {
-        self.options.backend
-    }
-
-    /// The default resource limits for requests that do not carry a
-    /// `"limits"` object.
-    pub fn default_limits(&self) -> &Limits {
-        &self.limits
+        self.service.backend()
     }
 
     /// The workspace of named artifacts.
@@ -248,109 +220,70 @@ impl Engine {
 
     /// Number of memoized verdicts.
     pub fn cache_entries(&self) -> usize {
-        lock(&self.cache).len()
+        self.service.cache_entries()
     }
 
     /// Handles one request on the sequential front end (the `serve` path).
     /// Decision problems share the memo cache with batch execution.
     pub fn execute(&mut self, req: &Request) -> Value {
         self.counters.requests += 1;
-        match &req.kind {
-            RequestKind::RegisterDtd { name, source } => {
-                match self.workspace.register_dtd(name, source) {
-                    Ok(()) => registration_response(req.id.as_ref(), "dtd", name),
-                    Err(e) => self.error(req.id.as_ref(), &e),
-                }
-            }
-            RequestKind::RegisterQuery { name, xpath } => {
-                match self.workspace.register_query(name, xpath) {
-                    Ok(()) => registration_response(req.id.as_ref(), "query", name),
-                    Err(e) => self.error(req.id.as_ref(), &e),
-                }
+        let id = req.id.as_ref();
+        let response = match &req.kind {
+            RequestKind::RegisterDtd { .. } | RequestKind::RegisterQuery { .. } => {
+                register(&mut self.workspace, req)
             }
             RequestKind::Problem {
                 spec,
                 backend,
                 limits,
                 trace,
-            } => {
-                let problem = match spec.resolve(&self.workspace) {
-                    Ok(problem) => problem,
-                    Err(e) => return self.error(req.id.as_ref(), &e),
-                };
-                self.counters.problems += 1;
-                let job = Job {
-                    problem,
-                    backend: backend.unwrap_or(self.options.backend),
-                };
-                let effective = limits
-                    .as_ref()
-                    .map_or_else(|| self.limits.clone(), |l| l.apply(&self.limits));
-                let obs_ctx = ObsCtx {
-                    trace_sink: self.trace_sink.as_ref(),
-                    slow_ms: self.slow_solve_ms,
-                    slow_log: &self.slow_log,
-                };
-                let (rec, capture) = obs_ctx.recorder(*trace);
-                let (outcome, cached) = run_job_memoized(
-                    &mut self.session,
-                    &self.options,
-                    &self.cache,
-                    &job,
-                    &effective,
-                    &rec,
-                );
-                let events = obs_ctx.finish(&job, &outcome, cached, capture);
-                if cached {
-                    self.counters.cache_hits += 1;
-                } else {
-                    self.counters.cache_misses += 1;
+            } => match self.service.resolve(
+                &self.workspace,
+                spec,
+                *backend,
+                limits.as_ref(),
+                *trace,
+                self.service.limits(),
+            ) {
+                Ok(item) => {
+                    let solved = self.service.solve(&mut self.session, &item);
+                    self.counters.count(&solved, false);
+                    solved.respond(id, spec.op().canonical(), false)
                 }
-                let tr = trace.then(|| protocol::trace_value(&events));
-                match &outcome {
-                    RunOutcome::Verdict(v) => {
-                        let wall = if cached { 0.0 } else { v.wall_ms };
-                        verdict_response(req.id.as_ref(), spec.op(), v, cached, wall, tr)
-                    }
-                    RunOutcome::Unknown(u) => {
-                        // An exhausted budget is never cached: a retry
-                        // with bigger limits must re-solve.
-                        self.counters.unknown += 1;
-                        unknown_response(req.id.as_ref(), spec.op(), u, tr)
-                    }
-                    RunOutcome::Error(e) => self.error(req.id.as_ref(), e),
-                }
-            }
-            RequestKind::Lint(spec) => self.run_lint(req.id.as_ref(), spec),
-            RequestKind::Stats => self.stats_response(req.id.as_ref()),
-            RequestKind::Metrics => {
-                protocol::metrics_response(req.id.as_ref(), &obs::metrics().snapshot())
-            }
-            RequestKind::SlowLog => protocol::slowlog_response(
-                req.id.as_ref(),
-                self.slow_solve_ms,
-                &self.slow_log.entries(),
+                Err(e) => error_response(id, &e),
+            },
+            RequestKind::Lint(spec) => self.run_lint(id, spec),
+            RequestKind::Stats => self.stats_response(id),
+            RequestKind::Metrics => metrics_response(id, &obs::metrics().snapshot()),
+            RequestKind::SlowLog => slowlog_response(
+                id,
+                self.service.slow_ms(),
+                &self.service.slow_log().entries(),
             ),
             RequestKind::Reset => {
                 self.workspace.clear();
-                lock(&self.cache).clear();
-                self.slow_log.clear();
+                self.service.clear();
                 // Fresh arenas: a long-running service can shed the formula
                 // and BDD state accumulated by previous workloads.
-                self.session = Analyzer::with_options(self.options.clone());
+                self.session = self.service.analyzer();
                 for w in &mut self.workers {
-                    *w = Analyzer::with_options(self.options.clone());
+                    *w = self.service.analyzer();
                 }
-                registration_response(req.id.as_ref(), "reset", "engine")
+                registration_response(id, "reset", "engine")
             }
-        }
+        };
+        self.counters.errors += u64::from(is_error(&response));
+        response
     }
 
     /// Parses and handles one JSONL request line.
     pub fn execute_line(&mut self, line: &str) -> Value {
-        match Request::parse(line) {
+        match parse_request(line) {
             Ok(req) => self.execute(&req),
-            Err(e) => self.error(None, &e),
+            Err(response) => {
+                self.counters.errors += 1;
+                response
+            }
         }
     }
 
@@ -359,28 +292,20 @@ impl Engine {
     /// come back in request order. See [`BatchOutcome`] for the result
     /// shape.
     pub fn run_batch(&mut self, requests: &[Request]) -> BatchOutcome {
-        let obs_ctx = ObsCtx {
-            trace_sink: self.trace_sink.as_ref(),
-            slow_ms: self.slow_solve_ms,
-            slow_log: &self.slow_log,
-        };
         let outcome = executor::run_batch(
+            &self.service,
             &mut self.workspace,
             &mut self.workers,
-            &self.options,
-            &self.cache,
-            self.options.backend,
-            &self.limits,
-            &obs_ctx,
             requests,
         );
+        let s = &outcome.stats;
         self.counters.batches += 1;
-        self.counters.requests += outcome.stats.requests as u64;
-        self.counters.problems += outcome.stats.problems as u64;
-        self.counters.cache_hits += outcome.stats.cache_hits as u64;
-        self.counters.cache_misses += outcome.stats.cache_misses as u64;
-        self.counters.unknown += outcome.stats.unknown as u64;
-        self.counters.errors += outcome.stats.errors as u64;
+        self.counters.requests += s.requests as u64;
+        self.counters.problems += s.problems as u64;
+        self.counters.cache_hits += s.cache_hits as u64;
+        self.counters.cache_misses += s.cache_misses as u64;
+        self.counters.unknown += s.unknown as u64;
+        self.counters.errors += s.errors as u64;
         outcome
     }
 
@@ -389,20 +314,20 @@ impl Engine {
     /// responses in place.
     pub fn run_batch_lines(&mut self, input: &str) -> BatchOutcome {
         let mut requests = Vec::new();
-        let mut parse_errors: Vec<(usize, String)> = Vec::new();
+        let mut parse_errors = Vec::new();
         for (i, line) in input
             .lines()
             .map(str::trim)
             .filter(|l| !l.is_empty() && !l.starts_with('#'))
             .enumerate()
         {
-            match Request::parse(line) {
+            match parse_request(line) {
                 Ok(r) => requests.push(r),
-                Err(e) => {
-                    // Hold the slot with a harmless placeholder so response
-                    // positions keep corresponding to input lines, then
+                Err(response) => {
+                    // Hold the slot with a service op, which a batch
+                    // answers with an error (so it is counted as one), then
                     // splice the parse error in afterwards.
-                    parse_errors.push((i, e));
+                    parse_errors.push((i, response));
                     requests.push(Request {
                         id: None,
                         kind: RequestKind::Stats,
@@ -411,10 +336,8 @@ impl Engine {
             }
         }
         let mut outcome = self.run_batch(&requests);
-        // The placeholder already counted as an error in the executor, so
-        // only the response text needs replacing.
-        for (i, e) in parse_errors {
-            outcome.responses[i] = error_response(None, &e);
+        for (i, response) in parse_errors {
+            outcome.responses[i] = response;
         }
         outcome
     }
@@ -436,25 +359,23 @@ impl Engine {
         mut output: W,
     ) -> std::io::Result<()> {
         loop {
-            let line = match framing::read_framed(&mut input, self.max_line_bytes)? {
+            let response = match framing::read_framed(&mut input, self.service.max_line_bytes())? {
                 Framed::Eof => return Ok(()),
                 Framed::Oversized { limit } => {
                     self.counters.errors += 1;
-                    let response = error_response(
+                    error_response(
                         None,
                         &format!("request line exceeds the {limit}-byte cap and was discarded"),
-                    );
-                    writeln!(output, "{}", response.to_json())?;
-                    output.flush()?;
-                    continue;
+                    )
                 }
-                Framed::Line(line) => line,
+                Framed::Line(line) => {
+                    let line = line.trim();
+                    if line.is_empty() || line.starts_with('#') {
+                        continue;
+                    }
+                    self.execute_line(line)
+                }
             };
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let response = self.execute_line(line);
             writeln!(output, "{}", response.to_json())?;
             output.flush()?;
         }
@@ -464,9 +385,8 @@ impl Engine {
     /// probes out over the batch workers (sharing the verdict memo cache,
     /// so a lint run warms the cache for later decision traffic and vice
     /// versa), then judge the outcomes into diagnostics.
-    fn run_lint(&mut self, id: Option<&Value>, spec: &protocol::LintSpec) -> Value {
+    fn run_lint(&mut self, id: Option<&Value>, spec: &LintSpec) -> Value {
         let started = std::time::Instant::now();
-        let config = spec.config();
         let queries: Vec<(String, Arc<xpath::Expr>)> = self
             .workspace
             .queries_sorted()
@@ -479,35 +399,48 @@ impl Engine {
             .into_iter()
             .map(|(n, d)| (n.to_owned(), d))
             .collect();
-        let plan = match lint::plan(&mut self.session, &queries, &dtds, &config) {
+        let plan = match lint::plan(&mut self.session, &queries, &dtds, &spec.config()) {
             Ok(plan) => plan,
-            Err(e) => return self.error(id, &e),
+            Err(e) => return error_response(id, &e),
         };
-        let backend = spec.backend.unwrap_or(self.options.backend);
-        let effective = spec
-            .limits
-            .as_ref()
-            .map_or_else(|| self.limits.clone(), |l| l.apply(&self.limits));
-        let obs_ctx = ObsCtx {
-            trace_sink: self.trace_sink.as_ref(),
-            slow_ms: self.slow_solve_ms,
-            slow_log: &self.slow_log,
-        };
-        let (outcomes, probe_stats) = executor::solve_probes(
-            &mut self.workers,
-            &self.options,
-            &self.cache,
-            backend,
-            &effective,
-            &obs_ctx,
-            &plan.probes,
-        );
-        self.counters.problems += plan.probes.len() as u64;
-        self.counters.cache_hits += probe_stats.hits as u64;
-        self.counters.cache_misses += probe_stats.misses as u64;
-        self.counters.unknown += probe_stats.unknown as u64;
+        // Distinct rules often pose the same problem (a step prefix shared
+        // by dead-step and contradiction probes); each runs once.
+        let mut work = executor::WorkList::default();
+        let slots: Vec<(usize, bool)> = plan
+            .probes
+            .iter()
+            .map(|probe| {
+                work.intern(self.service.item(
+                    probe.problem.clone(),
+                    spec.backend,
+                    spec.limits.as_ref(),
+                    false,
+                    self.service.limits(),
+                ))
+            })
+            .collect();
+        let results = work.solve(&self.service, &mut self.workers);
+        let outcomes: Vec<lint::ProbeOutcome> = slots
+            .into_iter()
+            .map(|(i, duplicate)| {
+                let solved = &results[i];
+                self.counters.count(solved, duplicate);
+                match &solved.outcome {
+                    RunOutcome::Verdict(v) if v.holds => lint::ProbeOutcome::Holds {
+                        witness: v.counter_example.clone(),
+                    },
+                    RunOutcome::Verdict(v) => lint::ProbeOutcome::Fails {
+                        witness: v.counter_example.clone(),
+                    },
+                    RunOutcome::Unknown(u) => lint::ProbeOutcome::Unknown {
+                        reason: u.reason.clone(),
+                    },
+                    RunOutcome::Error(e) => lint::ProbeOutcome::Error { reason: e.clone() },
+                }
+            })
+            .collect();
         let diagnostics = lint::judge(&plan, &outcomes);
-        protocol::lint_response(
+        lint_response(
             id,
             &diagnostics,
             plan.probes.len(),
@@ -515,38 +448,37 @@ impl Engine {
         )
     }
 
-    fn error(&mut self, id: Option<&Value>, message: &str) -> Value {
-        self.counters.errors += 1;
-        error_response(id, message)
-    }
-
     fn stats_response(&self, id: Option<&Value>) -> Value {
-        let mut fields = Vec::new();
-        if let Some(id) = id {
-            fields.push(("id", id.clone()));
-        }
-        fields.extend([
-            ("ok", Value::Bool(true)),
-            ("op", Value::from("stats")),
-            ("protocol", Value::from(protocol::PROTOCOL_VERSION as usize)),
-            ("backend", Value::from(self.options.backend.as_str())),
-            ("threads", Value::from(self.threads())),
-            ("dtds", Value::from(self.workspace.dtd_count())),
-            ("queries", Value::from(self.workspace.query_count())),
-            ("cache_entries", Value::from(self.cache_entries())),
-            ("requests", Value::from(self.counters.requests as usize)),
-            ("problems", Value::from(self.counters.problems as usize)),
-            ("cache_hits", Value::from(self.counters.cache_hits as usize)),
-            (
-                "cache_misses",
-                Value::from(self.counters.cache_misses as usize),
-            ),
-            ("unknown", Value::from(self.counters.unknown as usize)),
-            ("errors", Value::from(self.counters.errors as usize)),
-            ("batches", Value::from(self.counters.batches as usize)),
-        ]);
-        json::obj(fields)
+        let c = &self.counters;
+        response(
+            id,
+            vec![
+                ("ok", Value::Bool(true)),
+                ("op", Value::from("stats")),
+                ("protocol", Value::from(PROTOCOL_VERSION as usize)),
+                ("backend", Value::from(self.service.backend().as_str())),
+                ("threads", Value::from(self.threads())),
+                ("dtds", Value::from(self.workspace.dtd_count())),
+                ("queries", Value::from(self.workspace.query_count())),
+                ("cache_entries", Value::from(self.cache_entries())),
+                ("requests", Value::from(c.requests as usize)),
+                ("problems", Value::from(c.problems as usize)),
+                ("cache_hits", Value::from(c.cache_hits as usize)),
+                ("cache_misses", Value::from(c.cache_misses as usize)),
+                ("unknown", Value::from(c.unknown as usize)),
+                ("errors", Value::from(c.errors as usize)),
+                ("batches", Value::from(c.batches as usize)),
+            ],
+        )
     }
+}
+
+/// Parses one request line. A line that is JSON but not a valid request
+/// still gets its `id` echoed on the error response, as on every front
+/// end.
+fn parse_request(line: &str) -> Result<Request, Value> {
+    let v = json::parse(line).map_err(|e| error_response(None, &e.to_string()))?;
+    Request::from_value(&v).map_err(|e| error_response(v.get("id"), &e))
 }
 
 #[cfg(test)]

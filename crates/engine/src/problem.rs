@@ -254,7 +254,8 @@ fn record_metrics(job: &Job, outcome: &RunOutcome, wall_ms: f64) {
     }
 }
 
-pub(crate) fn duration_ms(d: std::time::Duration) -> f64 {
+/// Milliseconds of a duration, as the protocol's `f64` timings.
+pub fn duration_ms(d: std::time::Duration) -> f64 {
     d.as_secs_f64() * 1000.0
 }
 

@@ -653,42 +653,45 @@ fn opt_str_field(v: &Value, key: &str) -> Option<String> {
     v.get(key).and_then(Value::as_str).map(str::to_owned)
 }
 
-/// Builds the response for a successful registration.
-pub fn registration_response(id: Option<&Value>, kind: &str, name: &str) -> Value {
-    let mut fields = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id", id.clone()));
-    }
-    fields.extend([
-        ("ok", Value::Bool(true)),
-        ("registered", Value::from(name)),
-        ("kind", Value::from(kind)),
-    ]);
-    obj(fields)
+/// A response object: the request's `id` first, echoed verbatim when the
+/// request carried one, then `fields`. Every response of every front end
+/// is built here, so the `id` rule holds on all of them.
+pub fn response(id: Option<&Value>, fields: Vec<(&str, Value)>) -> Value {
+    let id = id.map(|id| ("id", id.clone()));
+    obj(id.into_iter().chain(fields).collect())
 }
 
-/// Builds the response for a solved (or cache-served) decision problem.
-/// `trace` is the serialized event array for requests that set
-/// `"trace": true` (see [`trace_value`]); `None` omits the field.
+/// Builds the response for a successful registration.
+pub fn registration_response(id: Option<&Value>, kind: &str, name: &str) -> Value {
+    response(
+        id,
+        vec![
+            ("ok", Value::Bool(true)),
+            ("registered", Value::from(name)),
+            ("kind", Value::from(kind)),
+        ],
+    )
+}
+
+/// Builds the response for a solved (or cache-served) decision problem;
+/// `op` is the echoed operation name ([`Op::canonical`]). `trace` is the
+/// serialized event array for requests that set `"trace": true` (see
+/// [`trace_value`]); `None` omits the field.
 pub fn verdict_response(
     id: Option<&Value>,
-    op: Op,
+    op: &str,
     verdict: &Verdict,
     cached: bool,
     wall_ms: f64,
     trace: Option<Value>,
 ) -> Value {
-    let mut fields = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id", id.clone()));
-    }
-    fields.extend([
+    let mut fields = vec![
         ("ok", Value::Bool(true)),
-        ("op", Value::from(op.canonical())),
+        ("op", Value::from(op)),
         ("backend", Value::from(verdict.backend.as_str())),
         ("status", Value::from(Status::of(verdict.holds).as_str())),
         ("holds", Value::Bool(verdict.holds)),
-    ]);
+    ];
     match &verdict.counter_example {
         Some(xml) => fields.push(("counter_example", Value::from(xml.as_str()))),
         None => fields.push(("counter_example", Value::Null)),
@@ -710,26 +713,24 @@ pub fn verdict_response(
     if let Some(trace) = trace {
         fields.push(("trace", trace));
     }
-    obj(fields)
+    response(id, fields)
 }
 
 /// Builds the `"status":"unknown"` response for a budget-exhausted solve:
 /// `ok` stays true (the protocol worked; the solve was inconclusive),
 /// `holds` is `null`, and the exhausted resource is named with what was
-/// spent against what budget. Unknown verdicts are never cached.
+/// spent against what budget. Unknown verdicts are never cached. The TCP
+/// tier's shed verdicts take this shape too, for fault-injection ops as
+/// well, which is why `op` is a name rather than an [`Op`].
 pub fn unknown_response(
     id: Option<&Value>,
-    op: Op,
+    op: &str,
     unknown: &UnknownVerdict,
     trace: Option<Value>,
 ) -> Value {
-    let mut fields = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id", id.clone()));
-    }
-    fields.extend([
+    let mut fields = vec![
         ("ok", Value::Bool(true)),
-        ("op", Value::from(op.canonical())),
+        ("op", Value::from(op)),
         ("backend", Value::from(unknown.backend.as_str())),
         ("status", Value::from(Status::Unknown.as_str())),
         ("holds", Value::Null),
@@ -739,11 +740,11 @@ pub fn unknown_response(
         ("reason", Value::from(unknown.reason.as_str())),
         ("cached", Value::Bool(false)),
         ("wall_ms", Value::Num(round3(unknown.wall_ms))),
-    ]);
+    ];
     if let Some(trace) = trace {
         fields.push(("trace", trace));
     }
-    obj(fields)
+    response(id, fields)
 }
 
 /// Builds the response for a `lint` request: the per-severity tallies and
@@ -755,32 +756,30 @@ pub fn lint_response(
     probes: usize,
     wall_ms: f64,
 ) -> Value {
-    let mut fields = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id", id.clone()));
-    }
     let count = |sev: lint::Severity| diagnostics.iter().filter(|d| d.severity == sev).count();
     let status = if diagnostics.is_empty() {
         "clean"
     } else {
         "findings"
     };
-    fields.extend([
-        ("ok", Value::Bool(true)),
-        ("op", Value::from("lint")),
-        ("status", Value::from(status)),
-        ("findings", Value::from(diagnostics.len())),
-        ("errors", Value::from(count(lint::Severity::Error))),
-        ("warnings", Value::from(count(lint::Severity::Warning))),
-        ("infos", Value::from(count(lint::Severity::Info))),
-        ("probes", Value::from(probes)),
-        (
-            "diagnostics",
-            Value::Arr(diagnostics.iter().map(diagnostic_value).collect()),
-        ),
-        ("wall_ms", Value::Num(round3(wall_ms))),
-    ]);
-    obj(fields)
+    response(
+        id,
+        vec![
+            ("ok", Value::Bool(true)),
+            ("op", Value::from("lint")),
+            ("status", Value::from(status)),
+            ("findings", Value::from(diagnostics.len())),
+            ("errors", Value::from(count(lint::Severity::Error))),
+            ("warnings", Value::from(count(lint::Severity::Warning))),
+            ("infos", Value::from(count(lint::Severity::Info))),
+            ("probes", Value::from(probes)),
+            (
+                "diagnostics",
+                Value::Arr(diagnostics.iter().map(diagnostic_value).collect()),
+            ),
+            ("wall_ms", Value::Num(round3(wall_ms))),
+        ],
+    )
 }
 
 /// Serializes one lint finding. `evidence` is `null` for pure graph passes
@@ -953,17 +952,15 @@ pub fn metrics_response(id: Option<&Value>, snapshot: &[obs::Snapshot]) -> Value
             obj(fields)
         })
         .collect();
-    let mut fields = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id", id.clone()));
-    }
-    fields.extend([
-        ("ok", Value::Bool(true)),
-        ("op", Value::from("metrics")),
-        ("protocol", Value::from(PROTOCOL_VERSION as usize)),
-        ("metrics", Value::Arr(rows)),
-    ]);
-    obj(fields)
+    response(
+        id,
+        vec![
+            ("ok", Value::Bool(true)),
+            ("op", Value::from("metrics")),
+            ("protocol", Value::from(PROTOCOL_VERSION as usize)),
+            ("metrics", Value::Arr(rows)),
+        ],
+    )
 }
 
 /// Builds the `slowlog` response: the configured threshold (`null` when
@@ -988,39 +985,35 @@ pub fn slowlog_response(
             ])
         })
         .collect();
-    let mut fields = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id", id.clone()));
-    }
-    fields.extend([
-        ("ok", Value::Bool(true)),
-        ("op", Value::from("slowlog")),
-        ("protocol", Value::from(PROTOCOL_VERSION as usize)),
-        (
-            "threshold_ms",
-            match threshold_ms {
-                Some(t) => Value::Num(t as f64),
-                None => Value::Null,
-            },
-        ),
-        ("count", Value::from(entries.len())),
-        ("entries", Value::Arr(rows)),
-    ]);
-    obj(fields)
+    let threshold_ms = threshold_ms.map_or(Value::Null, |t| Value::Num(t as f64));
+    response(
+        id,
+        vec![
+            ("ok", Value::Bool(true)),
+            ("op", Value::from("slowlog")),
+            ("protocol", Value::from(PROTOCOL_VERSION as usize)),
+            ("threshold_ms", threshold_ms),
+            ("count", Value::from(entries.len())),
+            ("entries", Value::Arr(rows)),
+        ],
+    )
 }
 
 /// Builds an error response (`"status":"error"`).
 pub fn error_response(id: Option<&Value>, message: &str) -> Value {
-    let mut fields = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id", id.clone()));
-    }
-    fields.extend([
-        ("ok", Value::Bool(false)),
-        ("status", Value::from(Status::Error.as_str())),
-        ("error", Value::from(message)),
-    ]);
-    obj(fields)
+    response(
+        id,
+        vec![
+            ("ok", Value::Bool(false)),
+            ("status", Value::from(Status::Error.as_str())),
+            ("error", Value::from(message)),
+        ],
+    )
+}
+
+/// Whether `response` is an error response (`"ok":false`).
+pub fn is_error(response: &Value) -> bool {
+    response.get("ok").and_then(Value::as_bool) == Some(false)
 }
 
 fn round3(ms: f64) -> f64 {

@@ -22,13 +22,14 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
 use engine::{
-    error_response, json, metrics_response, read_framed, registration_response, Framed, Job,
-    LimitsSpec, Request, RequestKind, Value, PROTOCOL_VERSION,
+    error_response, json, metrics_response, read_framed, register, registration_response, response,
+    unknown_response, Framed, Request, RequestKind, UnknownVerdict, Value, Workspace,
+    PROTOCOL_VERSION,
 };
 
 use crate::server::{LifeState, Shared};
 use crate::tenant::Tenant;
-use crate::worker::{shed_response, FaultKind, FaultUnit, SolveUnit, WorkUnit};
+use crate::worker::{Unit, Work};
 use crate::DEFAULT_TENANT;
 
 /// What the reader does after answering a line.
@@ -90,7 +91,7 @@ fn reader_loop(shared: &Arc<Shared>, stream: TcpStream, tx: &Sender<(u64, Value)
     let mut reader = BufReader::new(stream);
     let mut seq: u64 = 0;
     loop {
-        match read_framed(&mut reader, shared.max_line_bytes()) {
+        match read_framed(&mut reader, shared.service.max_line_bytes()) {
             Err(e) => {
                 if matches!(
                     e.kind(),
@@ -169,27 +170,25 @@ fn handle_line(
     match v.get("op").and_then(Value::as_str) {
         Some("shutdown") => {
             let report = shared.drain_and_stop();
-            let mut fields = Vec::new();
-            if let Some(id) = &id {
-                fields.push(("id".to_owned(), id.clone()));
-            }
-            fields.extend([
-                ("ok".to_owned(), Value::Bool(true)),
-                ("op".to_owned(), Value::from("shutdown")),
-                ("drained".to_owned(), Value::Bool(report.drained)),
-                ("forced".to_owned(), Value::Bool(report.forced)),
-                ("pending".to_owned(), Value::from(report.pending)),
-            ]);
-            send(Value::Obj(fields));
+            send(response(
+                id.as_ref(),
+                vec![
+                    ("ok", Value::Bool(true)),
+                    ("op", Value::from("shutdown")),
+                    ("drained", Value::Bool(report.drained)),
+                    ("forced", Value::Bool(report.forced)),
+                    ("pending", Value::from(report.pending)),
+                ],
+            ));
             LineOutcome::Close
         }
         Some("panic") if shared.config.fault_injection => {
-            admit_fault(shared, &tenant, FaultKind::Panic, id, seq, tx);
+            admit(shared, &tenant, Work::Panic, id, seq, tx);
             LineOutcome::Continue
         }
         Some("sleep") if shared.config.fault_injection => {
             let ms = v.get("ms").and_then(Value::as_f64).unwrap_or(0.0).max(0.0) as u64;
-            admit_fault(shared, &tenant, FaultKind::Sleep { ms }, id, seq, tx);
+            admit(shared, &tenant, Work::Sleep { ms }, id, seq, tx);
             LineOutcome::Continue
         }
         _ => {
@@ -202,72 +201,49 @@ fn handle_line(
     }
 }
 
-/// Admission for a fault-injection unit: the same tenant cap and queue
-/// bound as a real solve — a saturating `sleep` burst is exactly how the
-/// harness tests the shed path.
-fn admit_fault(
-    shared: &Arc<Shared>,
+/// The one admission path, for decision problems and fault-injection ops
+/// alike: take a tenant in-flight slot (while the server is running) and a
+/// place in the bounded queue, or answer a shed verdict at once. A
+/// saturating `sleep` burst is exactly how the test harness drives the
+/// shed path.
+fn admit(
+    shared: &Shared,
     tenant: &Arc<Tenant>,
-    kind: FaultKind,
+    work: Work,
     id: Option<Value>,
     seq: u64,
     tx: &Sender<(u64, Value)>,
 ) {
-    let send = |response: Value| {
-        let _ = tx.send((seq, response));
+    let guard = if shared.state() == LifeState::Running {
+        tenant.try_admit(&shared.inflight)
+    } else {
+        None
     };
-    let op_name = match kind {
-        FaultKind::Panic => "panic",
-        FaultKind::Sleep { .. } => "sleep",
+    let (work, id) = match guard {
+        Some(guard) => match shared.queue.try_push(Unit {
+            work,
+            id,
+            seq,
+            reply: tx.clone(),
+            guard,
+        }) {
+            Ok(()) => return,
+            // The refused unit's slot is released here, before the shed
+            // names the binding bound.
+            Err((unit, _)) => (unit.work, unit.id),
+        },
+        None => (work, id),
     };
-    let Some(guard) = admit(shared, tenant) else {
-        send(fault_shed(shared, tenant, id.as_ref(), op_name));
-        return;
-    };
-    let unit = WorkUnit::Fault(FaultUnit {
-        kind,
-        id,
-        seq,
-        reply: tx.clone(),
-        guard,
-    });
-    if let Err((WorkUnit::Fault(u), _)) = shared.queue.try_push(unit) {
-        send(fault_shed(shared, tenant, u.id.as_ref(), op_name));
-    }
+    let _ = tx.send((seq, shed_response(shared, tenant, id.as_ref(), &work)));
 }
 
-/// A shed response for a fault op (which has no protocol [`engine::Op`]):
-/// same `status: "unknown", resource: "shed"` shape, hand-assembled.
-fn fault_shed(
-    shared: &Arc<Shared>,
-    tenant: &Arc<Tenant>,
-    id: Option<&Value>,
-    op_name: &str,
-) -> Value {
-    let (scope, spent, limit) = shed_scope(shared, tenant);
-    obs::metrics()
-        .counter("xsat_shed_total", &[("scope", scope)])
-        .inc();
-    let mut fields = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".to_owned(), id.clone()));
-    }
-    fields.extend([
-        ("ok".to_owned(), Value::Bool(true)),
-        ("op".to_owned(), Value::from(op_name)),
-        ("status".to_owned(), Value::from("unknown")),
-        ("resource".to_owned(), Value::from("shed")),
-        ("scope".to_owned(), Value::from(scope)),
-        ("spent".to_owned(), Value::Num(spent as f64)),
-        ("limit".to_owned(), Value::Num(limit as f64)),
-        ("cached".to_owned(), Value::Bool(false)),
-    ]);
-    Value::Obj(fields)
-}
-
-/// Which admission bound is binding right now, for shed reporting.
-fn shed_scope(shared: &Arc<Shared>, tenant: &Arc<Tenant>) -> (&'static str, u64, u64) {
-    if shared.state() != LifeState::Running {
+/// A shed verdict: the typed `unknown` an over-admitted request gets
+/// instead of unbounded queueing. The reason names the bound that fired —
+/// `drain`, `tenant` (the tenant is at its in-flight cap) or `queue` — and
+/// `spent`/`limit` report that bound. Sheds are never memo-cached and are
+/// counted in `xsat_shed_total{scope}`.
+fn shed_response(shared: &Shared, tenant: &Tenant, id: Option<&Value>, work: &Work) -> Value {
+    let (scope, spent, limit) = if shared.state() != LifeState::Running {
         ("drain", 0, 0)
     } else if tenant.inflight() >= tenant.max_inflight {
         (
@@ -281,21 +257,30 @@ fn shed_scope(shared: &Arc<Shared>, tenant: &Arc<Tenant>) -> (&'static str, u64,
             shared.queue.len() as u64,
             shared.queue.capacity() as u64,
         )
-    }
-}
-
-/// Takes a tenant in-flight slot if the server is running and the tenant
-/// is under its cap.
-fn admit(shared: &Arc<Shared>, tenant: &Arc<Tenant>) -> Option<crate::tenant::InflightGuard> {
-    if shared.state() != LifeState::Running {
-        return None;
-    }
-    tenant.try_admit(&shared.inflight)
+    };
+    obs::metrics()
+        .counter("xsat_shed_total", &[("scope", scope)])
+        .inc();
+    let unknown = UnknownVerdict {
+        resource: "shed",
+        spent,
+        limit,
+        reason: format!(
+            "request shed by admission control ({scope} bound {limit} reached); \
+             retry against a less loaded server"
+        ),
+        backend: match work {
+            Work::Solve { item, .. } => item.job.backend,
+            Work::Panic | Work::Sleep { .. } => shared.service.backend(),
+        },
+        wall_ms: 0.0,
+    };
+    unknown_response(id, work.op_name(), &unknown, None)
 }
 
 /// Dispatches one parsed protocol request.
 fn handle_request(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     tenant: &Arc<Tenant>,
     req: Request,
     seq: u64,
@@ -305,19 +290,8 @@ fn handle_request(
         let _ = tx.send((seq, response));
     };
     match req.kind {
-        RequestKind::RegisterDtd { name, source } => {
-            let result = write_ws(tenant).register_dtd(&name, &source);
-            send(match result {
-                Ok(()) => registration_response(req.id.as_ref(), "dtd", &name),
-                Err(e) => error_response(req.id.as_ref(), &e),
-            });
-        }
-        RequestKind::RegisterQuery { name, xpath } => {
-            let result = write_ws(tenant).register_query(&name, &xpath);
-            send(match result {
-                Ok(()) => registration_response(req.id.as_ref(), "query", &name),
-                Err(e) => error_response(req.id.as_ref(), &e),
-            });
+        RequestKind::RegisterDtd { .. } | RequestKind::RegisterQuery { .. } => {
+            send(register(&mut write_ws(tenant), &req));
         }
         RequestKind::Problem {
             spec,
@@ -325,60 +299,33 @@ fn handle_request(
             limits,
             trace,
         } => {
-            let backend = backend.unwrap_or(shared.config.backend);
-            let op = spec.op();
             // Resolve against the tenant's namespace *before* admission:
-            // the memo key is structural, so tenants can never alias.
-            let problem = {
-                let ws = tenant
+            // the memo key is structural, so tenants can never alias. The
+            // tenant's limits carry the drain token.
+            let item = shared.service.resolve(
+                &tenant
                     .workspace
                     .read()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                spec.resolve(&ws)
-            };
-            let problem = match problem {
-                Ok(p) => p,
-                Err(e) => {
-                    send(error_response(req.id.as_ref(), &e));
-                    return;
-                }
-            };
-            let Some(guard) = admit(shared, tenant) else {
-                let (scope, spent, limit) = shed_scope(shared, tenant);
-                send(shed_response(
-                    req.id.as_ref(),
-                    op,
-                    backend,
-                    scope,
-                    spent,
-                    limit,
-                ));
-                return;
-            };
-            let effective = limits.as_ref().map_or_else(
-                || tenant.limits.clone(),
-                |l: &LimitsSpec| l.apply(&tenant.limits),
-            );
-            let unit = WorkUnit::Solve(Box::new(SolveUnit {
-                job: Job { problem, backend },
-                limits: effective,
+                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+                &spec,
+                backend,
+                limits.as_ref(),
                 trace,
-                id: req.id.clone(),
-                op,
-                seq,
-                reply: tx.clone(),
-                guard,
-            }));
-            if let Err((WorkUnit::Solve(u), _)) = shared.queue.try_push(unit) {
-                let (scope, spent, limit) = shed_scope(shared, tenant);
-                send(shed_response(
-                    u.id.as_ref(),
-                    u.op,
-                    backend,
-                    scope,
-                    spent,
-                    limit,
-                ));
+                &tenant.limits,
+            );
+            match item {
+                Ok(item) => admit(
+                    shared,
+                    tenant,
+                    Work::Solve {
+                        item,
+                        op: spec.op(),
+                    },
+                    req.id,
+                    seq,
+                    tx,
+                ),
+                Err(e) => send(error_response(req.id.as_ref(), &e)),
             }
         }
         RequestKind::Stats => send(stats_response(shared, tenant, req.id.as_ref())),
@@ -408,7 +355,7 @@ fn handle_request(
 }
 
 /// The tenant's workspace, write-locked (poison-tolerant).
-fn write_ws(tenant: &Arc<Tenant>) -> std::sync::RwLockWriteGuard<'_, engine::Workspace> {
+fn write_ws(tenant: &Tenant) -> std::sync::RwLockWriteGuard<'_, Workspace> {
     tenant
         .workspace
         .write()
@@ -417,37 +364,27 @@ fn write_ws(tenant: &Arc<Tenant>) -> std::sync::RwLockWriteGuard<'_, engine::Wor
 
 /// The server-level `stats` response: admission and pool state, scoped to
 /// the requesting tenant.
-fn stats_response(shared: &Arc<Shared>, tenant: &Arc<Tenant>, id: Option<&Value>) -> Value {
-    let mut fields = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".to_owned(), id.clone()));
-    }
-    fields.extend([
-        ("ok".to_owned(), Value::Bool(true)),
-        (
-            "protocol".to_owned(),
-            Value::from(usize::try_from(PROTOCOL_VERSION).unwrap_or(usize::MAX)),
-        ),
-        ("tenant".to_owned(), Value::from(tenant.name.as_str())),
-        ("tenant_inflight".to_owned(), Value::from(tenant.inflight())),
-        (
-            "tenant_inflight_cap".to_owned(),
-            Value::from(tenant.max_inflight),
-        ),
-        ("queue_depth".to_owned(), Value::from(shared.queue.len())),
-        (
-            "queue_capacity".to_owned(),
-            Value::from(shared.queue.capacity()),
-        ),
-        (
-            "connections_active".to_owned(),
-            Value::from(shared.active_connections()),
-        ),
-        ("threads".to_owned(), Value::from(shared.threads)),
-        (
-            "draining".to_owned(),
-            Value::Bool(shared.state() != LifeState::Running),
-        ),
-    ]);
-    Value::Obj(fields)
+fn stats_response(shared: &Shared, tenant: &Tenant, id: Option<&Value>) -> Value {
+    response(
+        id,
+        vec![
+            ("ok", Value::Bool(true)),
+            ("op", Value::from("stats")),
+            ("protocol", Value::from(PROTOCOL_VERSION as usize)),
+            ("tenant", Value::from(tenant.name.as_str())),
+            ("tenant_inflight", Value::from(tenant.inflight())),
+            ("tenant_inflight_cap", Value::from(tenant.max_inflight)),
+            ("queue_depth", Value::from(shared.queue.len())),
+            ("queue_capacity", Value::from(shared.queue.capacity())),
+            (
+                "connections_active",
+                Value::from(shared.active_connections()),
+            ),
+            ("threads", Value::from(shared.service.threads())),
+            (
+                "draining",
+                Value::Bool(shared.state() != LifeState::Running),
+            ),
+        ],
+    )
 }

@@ -4,12 +4,15 @@
 //!
 //! The original system shipped as an interactive service front end over
 //! the solver; this crate is that front end grown into a real server.
-//! One accept loop feeds a bounded connection pool; each connection gets
-//! a reader thread (framed, bounded, timeout-guarded reads) and a writer
-//! thread (responses written in request order, whatever order the solves
-//! finish in); decision problems fan out over a shared pool of worker
-//! threads, each owning a long-lived analyzer, all sharing one structural
-//! memo cache.
+//! It owns transport and admission only: what a request *means* —
+//! resolution, the memo cache, the contained solve, the rendered answer —
+//! is the engine's [`Service`](engine::Service), the same core the stdin
+//! and batch front ends use. One accept loop feeds a bounded connection
+//! pool; each connection gets a reader thread (framed, bounded,
+//! timeout-guarded reads) and a writer thread (responses written in
+//! request order, whatever order the solves finish in); decision problems
+//! fan out over a shared pool of worker threads, each owning a long-lived
+//! analyzer.
 //!
 //! Robustness is the design axis, threaded through every layer:
 //!
@@ -25,8 +28,8 @@
 //!   resolved to structural ASTs before they reach the shared memo cache.
 //!   Each tenant carries its own default [`Limits`] and an in-flight cap
 //!   so one tenant cannot starve the rest.
-//! - **Failure containment**: every solve goes through
-//!   [`engine::run_job_memoized`] — a panicking solve degrades to one
+//! - **Failure containment**: every solve goes through the engine's
+//!   request core, [`engine::Service`] — a panicking solve degrades to one
 //!   `error` response, increments `xsat_worker_panics_total`, and rebuilds
 //!   that worker's analyzer; the worker thread never dies. Hostile or
 //!   broken clients are bounded too: per-line byte caps (oversized lines
@@ -60,7 +63,6 @@ mod server;
 mod tenant;
 mod worker;
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use engine::BackendChoice;
@@ -146,10 +148,3 @@ impl Default for ServerConfig {
 /// The tenant name requests fall back to when they carry no `tenant`
 /// field — single-tenant deployments never need to name one.
 pub const DEFAULT_TENANT: &str = "default";
-
-/// Locks ignoring poisoning: workers contain panics, and a poisoned lock
-/// (on the admission queue, the tenant table, the server state) must not
-/// wedge every later request.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}

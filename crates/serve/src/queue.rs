@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
-use crate::lock;
+use engine::lock;
 
 /// Why [`Queue::try_push`] refused an item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

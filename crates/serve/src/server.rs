@@ -19,15 +19,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use analyzer::AnalyzerOptions;
-use engine::{Job, Verdict};
+use engine::{lock, EngineConfig, Service};
 use solver::CancelToken;
 
 use crate::conn::handle_connection;
-use crate::lock;
 use crate::queue::Queue;
 use crate::tenant::{Inflight, Tenants};
-use crate::worker::{worker_loop, WorkUnit};
+use crate::worker::{worker_loop, Unit};
 use crate::ServerConfig;
 
 /// The lifecycle ladder (one-way).
@@ -57,21 +55,17 @@ pub struct DrainReport {
 pub(crate) struct Shared {
     /// The construction-time configuration.
     pub config: ServerConfig,
-    /// Analyzer construction options (worker rebuilds after a contained
-    /// panic use these).
-    pub options: AnalyzerOptions,
+    /// The engine's request core: what a request means, the memo cache
+    /// shared by every tenant, the worker count and the line cap.
+    pub service: Service,
     /// The bounded admission queue.
-    pub queue: Queue<WorkUnit>,
+    pub queue: Queue<Unit>,
     /// The tenant registry.
     pub tenants: Tenants,
-    /// The shared structural memo cache.
-    pub cache: Mutex<HashMap<Job, Verdict>>,
     /// The server-wide in-flight tally the drain waits on.
     pub inflight: Arc<Inflight>,
     /// The armed cancel token cloned into every admitted job's limits.
     pub drain: CancelToken,
-    /// Worker-thread count (for `stats`).
-    pub threads: usize,
     state: Mutex<LifeState>,
     state_cv: Condvar,
     /// Read-half clones of every live connection, keyed by connection id,
@@ -88,15 +82,6 @@ impl Shared {
     /// The current lifecycle state.
     pub(crate) fn state(&self) -> LifeState {
         *lock(&self.state)
-    }
-
-    /// The effective per-line byte cap.
-    pub(crate) fn max_line_bytes(&self) -> usize {
-        if self.config.max_line_bytes == 0 {
-            engine::DEFAULT_MAX_LINE_BYTES
-        } else {
-            self.config.max_line_bytes
-        }
     }
 
     /// Live connections right now.
@@ -179,40 +164,34 @@ impl Server {
     pub fn bind(config: ServerConfig, addr: &str) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let threads = if config.threads == 0 {
-            std::thread::available_parallelism()
-                .map_or(1, std::num::NonZeroUsize::get)
-                .min(16)
-        } else {
-            config.threads
-        };
-        let options = AnalyzerOptions {
+        let service = Service::new(EngineConfig {
+            threads: config.threads,
             backend: config.backend,
-            ..AnalyzerOptions::default()
-        };
+            limits: config.limits.clone(),
+            max_line_bytes: config.max_line_bytes,
+            ..EngineConfig::default()
+        });
         let drain = CancelToken::armed();
         let shared = Arc::new(Shared {
+            service,
             queue: Queue::new(config.queue_depth),
             tenants: Tenants::new(&config, &drain),
-            cache: Mutex::new(HashMap::new()),
             inflight: Arc::new(Inflight::new()),
             drain,
-            threads,
             state: Mutex::new(LifeState::Running),
             state_cv: Condvar::new(),
             conns: Mutex::new(HashMap::new()),
             conn_seq: AtomicUsize::new(0),
             active: AtomicUsize::new(0),
             addr,
-            options,
             config,
         });
-        let workers = (0..threads)
+        let workers = (0..shared.service.threads())
             .map(|i| {
                 let shared = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared.queue, &shared.cache, &shared.options))
+                    .spawn(move || worker_loop(&shared))
             })
             .collect::<std::io::Result<Vec<_>>>()?;
         let accept = {

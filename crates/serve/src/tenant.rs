@@ -17,10 +17,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Duration;
 
-use engine::Workspace;
+use engine::{lock, Workspace};
 use solver::{CancelToken, Limits};
 
-use crate::{lock, ServerConfig, DEFAULT_TENANT};
+use crate::{ServerConfig, DEFAULT_TENANT};
 
 /// The server-wide count of admitted-but-unanswered requests, with a
 /// condition variable so a draining shutdown can wait for zero.

@@ -6,36 +6,56 @@
 mod common;
 
 use std::io::Write;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use common::{b, s, start, test_config, Client};
 use engine::Value;
 use serve::ServerConfig;
 
+/// Held by every test that sends `panic` ops: the panic counter is
+/// process-wide, so the test that counts panics must see only its own.
+static PANIC_OPS: Mutex<()> = Mutex::new(());
+
+/// `xsat_worker_panics_total` as the `metrics` op reports it (0 before
+/// the first contained panic registers the counter).
+fn panics_total(c: &mut Client) -> f64 {
+    let m = c.roundtrip(r#"{"op":"metrics"}"#);
+    m.get("metrics")
+        .and_then(Value::as_arr)
+        .expect("metrics rows")
+        .iter()
+        .find(|row| s(row, "name") == Some("xsat_worker_panics_total"))
+        .and_then(|row| row.get("value").and_then(Value::as_f64))
+        .unwrap_or(0.0)
+}
+
 #[test]
 fn panicking_solve_degrades_to_error_and_the_worker_survives() {
+    let _serial = PANIC_OPS.lock().unwrap_or_else(PoisonError::into_inner);
     // One worker: if the panic killed it, the follow-up solve would hang.
     let server = start(ServerConfig {
         threads: 1,
         ..test_config()
     });
     let mut c = Client::connect(&server);
+    let before = panics_total(&mut c);
 
+    // The panic runs inside the engine's containment, the one every real
+    // solve runs under.
     let r = c.roundtrip(r#"{"id":1,"op":"panic"}"#);
     assert_eq!(s(&r, "status"), Some("error"), "{}", r.to_json());
     assert!(
-        s(&r, "error").is_some_and(|e| e.contains("panicked")),
+        s(&r, "error").is_some_and(|e| e.contains("the worker analyzer was rebuilt")),
         "{}",
         r.to_json()
     );
+    assert_eq!(panics_total(&mut c), before + 1.0);
 
-    // The same worker thread answers this correctly afterwards.
+    // The same worker thread, on its rebuilt analyzer, answers this
+    // correctly afterwards.
     let r = c.roundtrip(r#"{"id":2,"op":"sat","query":"child::a"}"#);
     assert_eq!(s(&r, "status"), Some("holds"));
-
-    // The containment metric is visible through the metrics op.
-    let m = c.roundtrip(r#"{"id":3,"op":"metrics"}"#).to_json();
-    assert!(m.contains("xsat_worker_panics_total"), "{m}");
 
     server.shutdown();
 }
@@ -181,6 +201,7 @@ fn malformed_tenant_and_unknown_ops_are_typed_errors() {
 /// keep getting correct verdicts; then a clean drain.
 #[test]
 fn concurrent_faults_do_not_affect_healthy_tenants() {
+    let _serial = PANIC_OPS.lock().unwrap_or_else(PoisonError::into_inner);
     let server = start(ServerConfig {
         threads: 2,
         queue_depth: 4,

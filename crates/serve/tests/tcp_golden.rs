@@ -1,15 +1,62 @@
 //! Golden behaviour of the TCP serving tier over real sockets: protocol
-//! round-trips, shed-under-full-queue semantics (typed `unknown`, never
-//! memo-cached), tenant-namespace isolation, and drain-on-shutdown
-//! response ordering.
+//! round-trips (including a replay of the engine's golden exchange),
+//! shed-under-full-queue semantics (typed `unknown`, never memo-cached),
+//! tenant-namespace isolation, and drain-on-shutdown response ordering.
 
 mod common;
+#[path = "../../engine/tests/golden/mod.rs"]
+mod golden;
 
 use std::time::Duration;
 
 use common::{b, s, start, test_config, wait_stats, Client};
-use engine::Value;
+use engine::{json, Value};
 use serve::ServerConfig;
+
+#[test]
+fn engine_golden_exchange_replays_over_tcp() {
+    // The stdin and batch front ends answer this exchange with exactly
+    // these lines (crates/engine/tests/golden_jsonl.rs); so must TCP, one
+    // round trip per line.
+    let server = start(test_config());
+    let mut c = Client::connect(&server);
+    for (i, (req, expected)) in golden::GOLDEN.iter().enumerate() {
+        let got = golden::normalize(&c.roundtrip(req));
+        assert_eq!(
+            got,
+            json::parse(expected).unwrap(),
+            "line {i}: request {req} (TCP path)\n  got      {}\n  expected {expected}",
+            got.to_json(),
+        );
+    }
+
+    // TCP `stats` reports admission and pool state, and exactly that.
+    let st = c.roundtrip(r#"{"id":"st","op":"stats"}"#);
+    let keys: Vec<&str> = match &st {
+        Value::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+        other => panic!("stats is not an object: {other:?}"),
+    };
+    assert_eq!(
+        keys,
+        [
+            "id",
+            "ok",
+            "op",
+            "protocol",
+            "tenant",
+            "tenant_inflight",
+            "tenant_inflight_cap",
+            "queue_depth",
+            "queue_capacity",
+            "connections_active",
+            "threads",
+            "draining",
+        ]
+    );
+    assert_eq!(s(&st, "op"), Some("stats"));
+
+    server.shutdown();
+}
 
 #[test]
 fn golden_roundtrip_over_tcp() {
@@ -57,9 +104,12 @@ fn shed_under_full_queue_is_typed_unknown_and_never_cached() {
 
     c.send(r#"{"id":"s1","op":"sleep","ms":600}"#);
     // Wait (on a separate control connection — responses are ordered per
-    // connection) until the worker has taken the first sleep.
+    // connection) until the worker has taken the first sleep: admitted
+    // (one in flight) and off the queue. An empty queue alone also holds
+    // before the sleep is admitted.
     wait_stats(&mut control, |st| {
-        st.get("queue_depth").and_then(Value::as_f64) == Some(0.0)
+        st.get("tenant_inflight").and_then(Value::as_f64) == Some(1.0)
+            && st.get("queue_depth").and_then(Value::as_f64) == Some(0.0)
     });
     c.send(r#"{"id":"s2","op":"sleep","ms":600}"#);
     wait_stats(&mut control, |st| {

@@ -50,7 +50,8 @@
 //! phases, per-iteration steps, limit hits, memo lookups — for every
 //! solve of the run; `--slow-ms N` arms the engine's slow-solve ring
 //! buffer, capturing the full trace of any solve exceeding N ms
-//! (dumpable via the `slowlog` protocol request). `metrics` runs an
+//! (dumpable via the `slowlog` protocol request). The TCP tier keeps
+//! neither, so `serve --tcp` refuses both flags (exit 2). `metrics` runs an
 //! optional request file and renders the process-wide metrics registry in
 //! Prometheus text exposition format on stdout.
 
@@ -153,7 +154,8 @@ Serving tier (SERVE, with serve --tcp only):
       by op x backend x status, memo-cache traffic, unknowns by exhausted
       resource, BDD peak nodes — in Prometheus text format on stdout.
 
-Observability (on every subcommand; see docs/OBSERVABILITY.md):
+Observability (OBS, on every subcommand except serve --tcp, which
+refuses both flags with exit 2; see docs/OBSERVABILITY.md):
   --trace-file FILE  stream per-solve trace events (solve begin/end,
                      phases, fixpoint steps, limit hits, memo lookups) to
                      FILE as JSON lines, flushed per event
@@ -687,6 +689,19 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
 /// `shutdown` request drains it.
 fn serve_tcp(addr: &str, opts: &Opts) -> Result<ExitCode, String> {
     use std::time::Duration;
+    // The TCP tier keeps no trace file and no slow-solve log: refuse the
+    // flags rather than accept and ignore them.
+    for (flag, given) in [
+        ("--trace-file", opts.trace_file.is_some()),
+        ("--slow-ms", opts.slow_ms.is_some()),
+    ] {
+        if given {
+            return Err(format!(
+                "{flag} does not apply to serve --tcp: the TCP tier keeps no \
+                 trace file or slow-solve log"
+            ));
+        }
+    }
     let defaults = xsat::serve::ServerConfig::default();
     let config = xsat::serve::ServerConfig {
         threads: opts.threads,
